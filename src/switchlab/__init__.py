@@ -6,7 +6,7 @@ from .losses import LossWeights
 from .metrics import MetricReport, asd, dice_coef, hd95, iou
 from .mss import MssConfig, generate_multiscale_mask, switch_pair
 from .network import NetConfig, SegNetParams
-from .pseudo import largest_connected_component, predict_pseudo_label
+from .pseudo import largest_connected_component, pseudo_labels
 from .synthdata import DatasetSplit, SynthConfig, make_dataset
 from .trainer import TrainConfig, evaluate, pretrain, self_train, strategy_analysis
 
@@ -33,8 +33,8 @@ __all__ = [
     "iou",
     "largest_connected_component",
     "make_dataset",
-    "predict_pseudo_label",
     "pretrain",
+    "pseudo_labels",
     "sample_augmentations",
     "self_train",
     "strategy_analysis",

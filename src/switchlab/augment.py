@@ -105,8 +105,6 @@ def apply_augmentations(
             img, mask = img[:, ::-1].copy(), mask[:, ::-1].copy()
         elif op.kind == "vflip":
             img, mask = img[::-1, :].copy(), mask[::-1, :].copy()
-        elif op.kind == "identity":
-            pass
         else:
             img = _apply_intensity(img, op)
     return img, mask

@@ -6,6 +6,9 @@ reconstruction. Because each image keeps its own phase, the reconstructed
 images stay pixel-aligned with their segmentation labels; only texture and
 global style move between the pair.
 
+Every transform works over the last two axes, so one (H, W) image pair and
+an (N, H, W) batch of pairs take the same path.
+
 Conventions (fixed for reproducibility):
 - forward transform unnormalized, inverse carries the 1/(HW) factor
   (numpy default);
@@ -41,9 +44,9 @@ class AmplitudePhase(NamedTuple):
 
 
 def fft2_shifted(img: np.ndarray) -> np.ndarray:
-    """2-D FFT with the quadrants swapped so DC sits at the array center."""
+    """2-D FFT of the last two axes with the quadrants swapped so DC sits at the center."""
     img = np.asarray(img, dtype=np.float64)
-    return np.fft.fftshift(np.fft.fft2(img))
+    return np.fft.fftshift(np.fft.fft2(img), axes=(-2, -1))
 
 
 def amplitude_phase(spec: np.ndarray) -> AmplitudePhase:
@@ -70,10 +73,13 @@ def low_freq_region_mask(h: int, w: int, rho: float) -> np.ndarray:
 def amplitude_switch(
     a_x: np.ndarray, a_u: np.ndarray, region: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exchange the two amplitude rasters inside ``region``; keep them outside."""
+    """Exchange the two amplitude rasters inside ``region``; keep them outside.
+
+    ``region`` is (H, W) and applies to every raster of a batch.
+    """
     a_x = np.asarray(a_x)
     a_u = np.asarray(a_u)
-    if not (a_x.shape == a_u.shape == region.shape):
+    if a_x.shape != a_u.shape or a_x.shape[-2:] != region.shape:
         raise ValueError(f"shape mismatch: {a_x.shape}, {a_u.shape}, {region.shape}")
     a_x_r = np.where(region, a_u, a_x)
     a_u_r = np.where(region, a_x, a_u)
@@ -88,7 +94,7 @@ def reconstruct(ap: AmplitudePhase) -> np.ndarray:
     spectrum was supplied.
     """
     spec = ap.amplitude * np.exp(1j * ap.phase)
-    out = np.fft.ifft2(np.fft.ifftshift(spec))
+    out = np.fft.ifft2(np.fft.ifftshift(spec, axes=(-2, -1)))
     scale = float(ap.amplitude.max()) if ap.amplitude.size else 0.0
     residue = float(np.abs(out.imag).max()) if out.size else 0.0
     if scale > 0.0 and residue > 1e-6 * scale:
@@ -97,13 +103,16 @@ def reconstruct(ap: AmplitudePhase) -> np.ndarray:
 
 
 def fds_pair(x: np.ndarray, u: np.ndarray, cfg: FdsConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Swap low-frequency amplitudes between ``x`` and ``u``, preserving phases."""
+    """Swap low-frequency amplitudes between ``x`` and ``u``, preserving phases.
+
+    Takes one (H, W) pair or two (N, H, W) batches paired image by image.
+    """
     x = np.asarray(x, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    if x.shape != u.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {u.shape}")
+    if x.shape != u.shape or x.ndim not in (2, 3):
+        raise ValueError(f"expected two (H, W) or (N, H, W) arrays of one shape, got {x.shape} and {u.shape}")
     cfg.validate()
-    region = low_freq_region_mask(x.shape[0], x.shape[1], cfg.area_ratio)
+    region = low_freq_region_mask(x.shape[-2], x.shape[-1], cfg.area_ratio)
     amp_x, phase_x = amplitude_phase(fft2_shifted(x))
     amp_u, phase_u = amplitude_phase(fft2_shifted(u))
     amp_x_r, amp_u_r = amplitude_switch(amp_x, amp_u, region)
@@ -112,10 +121,4 @@ def fds_pair(x: np.ndarray, u: np.ndarray, cfg: FdsConfig) -> tuple[np.ndarray, 
     return x_r, u_r
 
 
-def fds_batch(x: np.ndarray, u: np.ndarray, cfg: FdsConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Apply :func:`fds_pair` elementwise to two (N, H, W) batches."""
-    x_r = np.empty_like(x, dtype=np.float64)
-    u_r = np.empty_like(u, dtype=np.float64)
-    for k in range(x.shape[0]):
-        x_r[k], u_r[k] = fds_pair(x[k], u[k], cfg)
-    return x_r, u_r
+fds_batch = fds_pair  # the name the training step calls on (N, H, W) batches

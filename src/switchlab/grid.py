@@ -48,22 +48,3 @@ def argmax_channels(probs: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (C, H, W) or (N, C, H, W) probabilities, got shape {probs.shape}")
     axis = probs.ndim - 3
     return np.argmax(probs, axis=axis)
-
-
-def compose_masked(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Pixelwise composition: ``a`` where ``m`` is true, ``b`` elsewhere."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    m = np.asarray(m)
-    if not (a.shape == b.shape == m.shape):
-        raise ValueError(f"shape mismatch: {a.shape}, {b.shape}, {m.shape}")
-    return np.where(m, a, b)
-
-
-def check_prob_map(probs: np.ndarray, tol: float = 1e-6) -> None:
-    """Raise ValueError unless per-pixel channel sums are 1 within ``tol``."""
-    probs = np.asarray(probs)
-    axis = probs.ndim - 3
-    sums = probs.sum(axis=axis)
-    if probs.min() < -tol or probs.max() > 1 + tol or np.abs(sums - 1.0).max() > tol:
-        raise ValueError("not a valid probability map")

@@ -30,12 +30,6 @@ class LossWeights:
     temperature: float = 0.07
     dice_epsilon: float = 1e-5
     include_positive_in_denominator: bool = False
-    # Unit-normalize embeddings per position before the contrastive loss.
-    # With raw unnormalized dot products the objective is unbounded below
-    # (inflating embedding norms drives it to -inf) and training diverges;
-    # normalized vectors make the similarities cosines, which is the regime
-    # a 0.07 temperature belongs to. Disable to study the literal form.
-    normalize_embeddings: bool = True
 
     def validate(self) -> None:
         for name in ("base_weight", "patch_weight", "lambda_contrastive", "lambda_consistency"):
@@ -141,23 +135,6 @@ def _seg_terms_grad(
     return dice, ce, ddice, dce
 
 
-def mixed_region_loss(
-    pred_logits: np.ndarray,
-    base_label: np.ndarray,
-    patch_label: np.ndarray,
-    mask: np.ndarray,
-    w: LossWeights,
-) -> float:
-    """Region-weighted mixed loss for one switched sample.
-
-    ``base_weight * (dice + ce)/2`` on the mask-true region against
-    ``base_label`` plus ``patch_weight * (dice + ce)/2`` on the complement
-    against ``patch_label``.
-    """
-    dice_t, ce_t, _ = mixed_region_terms_grad(pred_logits, base_label, patch_label, mask, w)
-    return 0.5 * (dice_t + ce_t)
-
-
 def mixed_region_terms_grad(
     pred_logits: np.ndarray,
     base_label: np.ndarray,
@@ -165,7 +142,13 @@ def mixed_region_terms_grad(
     mask: np.ndarray,
     w: LossWeights,
 ) -> tuple[float, float, np.ndarray]:
-    """Region-weighted dice and ce terms plus the gradient of their sum."""
+    """Region-weighted dice and ce terms plus the gradient of their sum.
+
+    Each term is ``base_weight`` times its value on the mask-true region
+    against ``base_label`` plus ``patch_weight`` times its value on the
+    complement against ``patch_label``; the mixed loss of one switched
+    sample is half their sum.
+    """
     m = np.asarray(mask)
     if m.shape != np.asarray(base_label).shape[-2:]:
         raise ValueError(f"mask shape {m.shape} does not match labels")
@@ -269,14 +252,11 @@ def l2_normalize_backward(
     return (dnormed - normed * dot) / norms
 
 
-def consistency_mse(logits_a: np.ndarray, logits_b: np.ndarray) -> float:
-    """Mean squared difference between two pre-softmax outputs."""
-    return consistency_mse_grad(logits_a, logits_b)[0]
-
-
 def consistency_mse_grad(
     logits_a: np.ndarray, logits_b: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean squared difference between two pre-softmax outputs, with the
+    gradients with respect to both."""
     a = np.asarray(logits_a, dtype=np.float64)
     c = np.asarray(logits_b, dtype=np.float64)
     if a.shape != c.shape:

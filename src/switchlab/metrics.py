@@ -48,27 +48,27 @@ def boundary_pixels(mask: np.ndarray) -> np.ndarray:
     return m & ~interior
 
 
-def _pooled_boundary_distances(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    pb = boundary_pixels(pred)
-    gb = boundary_pixels(gt)
+def _surface_distances(p: np.ndarray, g: np.ndarray) -> tuple[float, float]:
+    """(HD95, ASD) of two nonempty boolean masks from one pooled distance set."""
+    pb = boundary_pixels(p)
+    gb = boundary_pixels(g)
     if not pb.any() or not gb.any():
         raise ValueError("surface distances require two nonempty masks")
     # distance_transform_edt gives each pixel's exact distance to the nearest zero
     dist_to_g = ndimage.distance_transform_edt(~gb)
     dist_to_p = ndimage.distance_transform_edt(~pb)
-    return np.concatenate([dist_to_g[pb], dist_to_p[gb]])
+    pooled = np.concatenate([dist_to_g[pb], dist_to_p[gb]])
+    return float(np.percentile(pooled, 95, method="linear")), float(np.mean(pooled))
 
 
 def hd95(pred: np.ndarray, gt: np.ndarray) -> float:
     """95th percentile of pooled directed boundary distances, both directions."""
-    p, g = _binary_pair(pred, gt)
-    return float(np.percentile(_pooled_boundary_distances(p, g), 95, method="linear"))
+    return _surface_distances(*_binary_pair(pred, gt))[0]
 
 
 def asd(pred: np.ndarray, gt: np.ndarray) -> float:
     """Mean of pooled directed boundary distances, both directions."""
-    p, g = _binary_pair(pred, gt)
-    return float(np.mean(_pooled_boundary_distances(p, g)))
+    return _surface_distances(*_binary_pair(pred, gt))[1]
 
 
 def _binary_pair(pred: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,13 +98,9 @@ class MetricReport:
         self.dice.append(dice_coef(pred, gt))
         self.iou.append(iou(pred, gt))
         p, g = _binary_pair(pred, gt)
-        if p.any() and g.any():
-            pooled = _pooled_boundary_distances(p, g)
-            self.hd95.append(float(np.percentile(pooled, 95, method="linear")))
-            self.asd.append(float(np.mean(pooled)))
-        else:
-            self.hd95.append(float("nan"))
-            self.asd.append(float("nan"))
+        hd, sd = _surface_distances(p, g) if p.any() and g.any() else (float("nan"), float("nan"))
+        self.hd95.append(hd)
+        self.asd.append(sd)
 
     @property
     def surface_excluded(self) -> int:

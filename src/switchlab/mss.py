@@ -17,8 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import compose_masked
-
 
 @dataclass(frozen=True)
 class MssConfig:
@@ -37,15 +35,6 @@ class MssConfig:
                 raise ValueError("patch sizes must be positive")
             if size > h or size > w:
                 raise ValueError(f"patch size {size} exceeds image size {h}x{w}")
-
-
-@dataclass(frozen=True)
-class SwitchedPair:
-    """Bidirectionally mixed image pair sharing one switch mask."""
-
-    unlabeled_base: np.ndarray  # first unlabeled image inside the mask, first labeled outside
-    labeled_base: np.ndarray    # second labeled image inside the mask, second unlabeled outside
-    mask: np.ndarray
 
 
 def generate_multiscale_mask(h: int, w: int, cfg: MssConfig, rng: np.random.Generator) -> np.ndarray:
@@ -80,13 +69,14 @@ def generate_bcp_mask(h: int, w: int, side_ratio: float, rng: np.random.Generato
 
 def switch_pair(
     x1: np.ndarray, x2: np.ndarray, u1: np.ndarray, u2: np.ndarray, m: np.ndarray
-) -> SwitchedPair:
-    """Mix two image pairs in both directions through one shared mask."""
-    return SwitchedPair(
-        unlabeled_base=compose_masked(u1, x1, m),
-        labeled_base=compose_masked(x2, u2, m),
-        mask=m,
-    )
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mix two image pairs in both directions through one shared mask.
+
+    Returns the unlabeled-base mixture (``u1`` inside the mask, ``x1``
+    outside) and the labeled-base mixture (``x2`` inside, ``u2`` outside).
+    The mask broadcasts over leading batch axes.
+    """
+    return np.where(m, u1, x1), np.where(m, x2, u2)
 
 
 def max_coverage_fraction(cfg: MssConfig, h: int, w: int) -> float:

@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
+from .grid import NUM_CLASSES
 
 CHECKPOINT_MAGIC = b"SWCH"
 CHECKPOINT_VERSION = 1
@@ -42,8 +43,6 @@ class NetConfig:
     width: int = 256
     widths: tuple[int, ...] = (8, 16, 32)
     embed_dim: int = 16
-    num_classes: int = 2
-    project_logits: bool = False  # project the logits instead of decoder features
     compute_dtype: str = "float64"  # forward/backward arithmetic; parameters stay float64
 
     def validate(self) -> None:
@@ -51,8 +50,6 @@ class NetConfig:
             raise ValueError("need at least two stages")
         if any(c < 1 for c in self.widths):
             raise ValueError("channel widths must be positive")
-        if self.num_classes != 2:
-            raise ValueError("only 2-class segmentation is supported")
         if self.compute_dtype not in ("float64", "float32"):
             raise ValueError(f"compute_dtype must be float64 or float32, got {self.compute_dtype}")
         div = max(2 ** len(self.widths), 4)
@@ -82,10 +79,9 @@ def build_layout(cfg: NetConfig) -> list[tuple[str, tuple[int, ...]]]:
         layout.append((f"dec{s}.conv1.b", (ws[s],)))
         layout.append((f"dec{s}.conv2.w", (ws[s], ws[s], 3, 3)))
         layout.append((f"dec{s}.conv2.b", (ws[s],)))
-    layout.append(("head.w", (cfg.num_classes, ws[0])))
-    layout.append(("head.b", (cfg.num_classes,)))
-    c_proj = cfg.num_classes if cfg.project_logits else ws[0]
-    layout.append(("proj.conv1.w", (cfg.embed_dim, c_proj, 3, 3)))
+    layout.append(("head.w", (NUM_CLASSES, ws[0])))
+    layout.append(("head.b", (NUM_CLASSES,)))
+    layout.append(("proj.conv1.w", (cfg.embed_dim, ws[0], 3, 3)))
     layout.append(("proj.conv1.b", (cfg.embed_dim,)))
     layout.append(("proj.conv2.w", (cfg.embed_dim, cfg.embed_dim, 3, 3)))
     layout.append(("proj.conv2.b", (cfg.embed_dim,)))
@@ -154,7 +150,7 @@ def init_params(cfg: NetConfig, rng: np.random.Generator) -> SegNetParams:
 
 class ForwardOutput(NamedTuple):
     logits: np.ndarray    # (N, 2, H, W)
-    features: np.ndarray  # (N, widths[0], H, W), the projector input by default
+    features: np.ndarray  # (N, widths[0], H, W), the projector input
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +309,12 @@ def _conv_relu_backward(params, grads, name, cache, dout):
 # network forward / backward
 
 
-def _as_batch(images: np.ndarray, dtype) -> tuple[np.ndarray, bool]:
-    images = np.asarray(images, dtype=dtype)
-    if images.ndim == 2:
-        return images[None], True
-    if images.ndim == 3:
-        return images, False
-    raise ValueError(f"expected (H, W) or (N, H, W) images, got shape {images.shape}")
-
-
 def forward(params: SegNetParams, images: np.ndarray, cache: dict | None = None) -> ForwardOutput:
-    """Run the segmentation network; pass ``cache={}`` to enable backward."""
+    """Run the segmentation network on (N, H, W) images; pass ``cache={}`` to enable backward."""
     cfg = params.cfg
-    batch, single = _as_batch(images, cfg.dtype)
-    if batch.shape[1:] != (cfg.height, cfg.width):
-        raise ValueError(f"image size {batch.shape[1:]} does not match config {(cfg.height, cfg.width)}")
+    batch = np.asarray(images, dtype=cfg.dtype)
+    if batch.ndim != 3 or batch.shape[1:] != (cfg.height, cfg.width):
+        raise ValueError(f"expected (N, {cfg.height}, {cfg.width}) images, got shape {batch.shape}")
     stages = len(cfg.widths)
     h = batch[..., None]  # (N, H, W, 1)
     skips = []
@@ -345,11 +332,9 @@ def forward(params: SegNetParams, images: np.ndarray, cache: dict | None = None)
     logits = _conv1(h, params.view("head.w"), params.view("head.b"))
     if cache is not None:
         cache["features"] = h
-    logits_cf = np.ascontiguousarray(logits.transpose(0, 3, 1, 2))
-    features_cf = np.ascontiguousarray(h.transpose(0, 3, 1, 2))
-    if single:
-        return ForwardOutput(logits_cf[0], features_cf[0])
-    return ForwardOutput(logits_cf, features_cf)
+    return ForwardOutput(
+        np.ascontiguousarray(logits.transpose(0, 3, 1, 2)), np.ascontiguousarray(h.transpose(0, 3, 1, 2))
+    )
 
 
 def backward(
@@ -368,20 +353,14 @@ def backward(
     cfg = params.cfg
     if grads is None:
         grads = SegNetParams(cfg)
-    dlogits = np.asarray(dlogits, dtype=cfg.dtype)
-    if dlogits.ndim == 3:
-        dlogits = dlogits[None]
-    dlogits = dlogits.transpose(0, 2, 3, 1)  # to channels-last
+    dlogits = np.asarray(dlogits, dtype=cfg.dtype).transpose(0, 2, 3, 1)  # to channels-last
     features = cache["features"]
     dx, dw, db = _conv1_backward(features, params.view("head.w"), dlogits)
     grads.view("head.w")[...] += dw
     grads.view("head.b")[...] += db
     dh = dx
     if dfeatures is not None:
-        df = np.asarray(dfeatures, dtype=cfg.dtype)
-        if df.ndim == 3:
-            df = df[None]
-        dh = dh + df.transpose(0, 2, 3, 1)
+        dh = dh + np.asarray(dfeatures, dtype=cfg.dtype).transpose(0, 2, 3, 1)
     stages = len(cfg.widths)
     dskips: dict[int, np.ndarray] = {}
     for s in range(stages - 1):
@@ -400,11 +379,8 @@ def backward(
 
 
 def project(params: SegNetParams, features: np.ndarray, cache: dict | None = None) -> np.ndarray:
-    """Project feature maps to (N, embed_dim, K) embeddings, K = H*W/16."""
+    """Project (N, C, H, W) feature maps to (N, embed_dim, K) embeddings, K = H*W/16."""
     x = np.asarray(features, dtype=params.cfg.dtype)
-    single = x.ndim == 3
-    if single:
-        x = x[None]
     x = np.ascontiguousarray(x.transpose(0, 2, 3, 1))  # to channels-last
     n, h, w, _ = x.shape
     if h % 4 or w % 4:
@@ -418,10 +394,7 @@ def project(params: SegNetParams, features: np.ndarray, cache: dict | None = Non
         cache["proj.pool1.idx"] = idx1
         cache["proj.pool2.idx"] = idx2
         cache["proj.p2"] = p2
-    out = np.ascontiguousarray(
-        emb.reshape(n, (h // 4) * (w // 4), params.cfg.embed_dim).transpose(0, 2, 1)
-    )
-    return out[0] if single else out
+    return np.ascontiguousarray(emb.reshape(n, (h // 4) * (w // 4), params.cfg.embed_dim).transpose(0, 2, 1))
 
 
 def project_backward(
@@ -430,8 +403,6 @@ def project_backward(
     """Backward through the projector; returns the gradient at its input features
     in channels-first layout."""
     demb = np.asarray(demb, dtype=params.cfg.dtype)
-    if demb.ndim == 2:
-        demb = demb[None]
     p2 = cache["proj.p2"]
     n, hh, ww, _ = p2.shape
     dout = demb.transpose(0, 2, 1).reshape(n, hh, ww, params.cfg.embed_dim)
@@ -480,10 +451,6 @@ def ema_update(teacher: SegNetParams, student: SegNetParams, alpha: float) -> Se
     teacher.vector *= alpha
     teacher.vector += (1.0 - alpha) * student.vector
     return teacher
-
-
-def parameter_count(cfg: NetConfig) -> int:
-    return sum(int(np.prod(shape)) for _, shape in build_layout(cfg))
 
 
 def save_params(path, params: SegNetParams) -> None:

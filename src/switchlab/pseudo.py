@@ -7,22 +7,13 @@ references).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 from scipy import ndimage
 
-from .grid import argmax_channels, softmax_channels
+from .grid import NUM_CLASSES, argmax_channels, softmax_channels
 
 # cross-shaped structuring element = 4-connectivity
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-
-
-@dataclass(frozen=True)
-class PseudoLabel:
-    mask: np.ndarray
-    source_confidence: float  # mean foreground probability over kept pixels, 0 if none
 
 
 def largest_connected_component(mask: np.ndarray) -> np.ndarray:
@@ -46,15 +37,11 @@ def largest_connected_component(mask: np.ndarray) -> np.ndarray:
     return (labels == keep).astype(np.uint8)
 
 
-def predict_pseudo_label(
-    teacher_forward: Callable[[np.ndarray], np.ndarray], img: np.ndarray
-) -> PseudoLabel:
-    """Argmax of the teacher's softmax output, then LCC filtering."""
-    logits = np.asarray(teacher_forward(img))
-    if logits.ndim != 3 or logits.shape[0] != 2 or logits.shape[1:] != img.shape:
-        raise ValueError(f"teacher produced logits of shape {logits.shape} for image {img.shape}")
-    probs = softmax_channels(logits)
-    mask = largest_connected_component(argmax_channels(probs))
-    fg = mask != 0
-    confidence = float(probs[1][fg].mean()) if fg.any() else 0.0
-    return PseudoLabel(mask=mask, source_confidence=confidence)
+def pseudo_labels(logits: np.ndarray) -> np.ndarray:
+    """Pseudo-labels of an (N, 2, H, W) logit batch: argmax of the softmax, then
+    the largest connected component of each image, as an (N, H, W) uint8 array."""
+    logits = np.asarray(logits)
+    if logits.ndim != 4 or logits.shape[1] != NUM_CLASSES:
+        raise ValueError(f"expected (N, {NUM_CLASSES}, H, W) logits, got shape {logits.shape}")
+    raw = argmax_channels(softmax_channels(logits))
+    return np.stack([largest_connected_component(m) for m in raw])

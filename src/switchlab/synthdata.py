@@ -39,7 +39,6 @@ class SynthConfig:
     speckle: float = 0.5        # multiplicative noise strength
     shadow_prob: float = 0.3
     contrast: float = 0.3       # guaranteed background-vs-ROI mean separation
-    decoy_prob: float = 0.0     # chance of small dark non-ROI distractor blobs
     seed: int = 0
 
     def validate(self) -> None:
@@ -52,8 +51,6 @@ class SynthConfig:
             raise ConfigError(f"roi_fraction must satisfy 0 < lo <= hi < 0.9, got {self.roi_fraction}")
         if not 0.0 <= self.speckle <= 1.0 or not 0.0 <= self.shadow_prob <= 1.0:
             raise ConfigError("speckle and shadow_prob must lie in [0, 1]")
-        if not 0.0 <= self.decoy_prob <= 1.0:
-            raise ConfigError("decoy_prob must lie in [0, 1]")
         if not 0.0 < self.contrast < 0.4:
             raise ConfigError("contrast must be in (0, 0.4)")
         # largest deformed ellipse (max area, thinnest aspect, max wobble)
@@ -106,26 +103,6 @@ def generate_sample(cfg: SynthConfig, rng: np.random.Generator) -> tuple[np.ndar
 
     img = np.full((h, w), background)
     img[mask] = roi_level
-
-    if cfg.decoy_prob > 0:
-        # small dark distractor blobs, well below ROI size and away from it;
-        # they belong to the background as far as the mask is concerned
-        n_decoys = int(rng.uniform() < cfg.decoy_prob) + int(rng.uniform() < 0.5 * cfg.decoy_prob)
-        for _ in range(n_decoys):
-            for _attempt in range(8):
-                dr1 = rng.uniform(2.0, 4.5)
-                dcy = rng.uniform(dr1 + 1, h - dr1 - 2)
-                dcx = rng.uniform(dr1 + 1, w - dr1 - 2)
-                if math.hypot(dcy - cy, dcx - cx) > reach + dr1 + 3:
-                    break
-            else:
-                continue
-            dr2 = rng.uniform(0.6, 1.0) * dr1
-            dth = rng.uniform(0.0, math.pi)
-            level = roi_level + rng.uniform(0.0, 0.5) * (background - roi_level)
-            dmaj = ((yy - dcy) * math.sin(dth) + (xx - dcx) * math.cos(dth)) / dr1
-            dmin = ((yy - dcy) * math.cos(dth) - (xx - dcx) * math.sin(dth)) / dr2
-            img[dmaj**2 + dmin**2 <= 1.0] = level
 
     # boundary softness is limited by the minor axis so small ROIs are not
     # blurred away

@@ -30,9 +30,9 @@ from .fds import FdsConfig
 from .grid import argmax_channels, softmax_channels
 from .losses import LossWeights
 from .metrics import MetricReport
-from .mss import MssConfig
+from .mss import MssConfig, switch_pair
 from .network import NetConfig, SegNetParams
-from .pseudo import largest_connected_component
+from .pseudo import pseudo_labels
 from .synthdata import DatasetSplit, SynthConfig
 
 
@@ -221,12 +221,6 @@ def _augment_batch(images, labels, policy: AugmentPolicy, rng) -> tuple[np.ndarr
     return out_i, out_l
 
 
-def _pseudo_label_batch(teacher: SegNetParams, images: np.ndarray) -> np.ndarray:
-    logits = network.forward(teacher, images).logits
-    raw = argmax_channels(softmax_channels(logits))
-    return np.stack([largest_connected_component(m) for m in raw])
-
-
 def _switch_mask(cfg: TrainConfig, rng) -> np.ndarray:
     if not cfg.use_mss:
         return np.ones((cfg.net.height, cfg.net.width), dtype=bool)
@@ -253,8 +247,8 @@ def build_selftrain_batch(
 
     # teacher sees the raw unlabeled images; geometry applied afterwards to
     # image and pseudo label together keeps them aligned
-    pseudo = _pseudo_label_batch(teacher, np.concatenate([u1, u2]))
-    yu1, yu2 = pseudo[:half_u], pseudo[half_u:]
+    yu = pseudo_labels(network.forward(teacher, np.concatenate([u1, u2])).logits)
+    yu1, yu2 = yu[:half_u], yu[half_u:]
 
     x1, y1 = _augment_batch(x1, y1, cfg.augment, rng)
     x2, y2 = _augment_batch(x2, y2, cfg.augment, rng)
@@ -262,15 +256,13 @@ def build_selftrain_batch(
     u2, yu2 = _augment_batch(u2, yu2, cfg.augment, rng)
 
     m = _switch_mask(cfg, rng)
-    mix_ub = np.where(m, u1, x1)
-    mix_lb = np.where(m, x2, u2)
+    mix_ub, mix_lb = switch_pair(x1, x2, u1, u2, m)
 
     mix_ub_freq = mix_lb_freq = None
     if cfg.use_fds:
         x1f, u1f = fds.fds_batch(x1, u1, cfg.fds)
         x2f, u2f = fds.fds_batch(x2, u2, cfg.fds)
-        mix_ub_freq = np.where(m, u1f, x1f)
-        mix_lb_freq = np.where(m, x2f, u2f)
+        mix_ub_freq, mix_lb_freq = switch_pair(x1f, x2f, u1f, u2f, m)
 
     return StepBatch(
         mix_ub=mix_ub,
@@ -355,33 +347,25 @@ def selftrain_loss_and_grad(
         dlog_freq = np.concatenate([scale * db1, scale * db2])
 
     if want_cont:
-        def proj_input(out: network.ForwardOutput) -> np.ndarray:
-            return out.logits if cfg.net.project_logits else out.features
-
         pcache: dict = {}
-        h_raw = network.project(student, proj_input(out_main), pcache)
+        h_raw = network.project(student, out_main.features, pcache)
         if frozen_keys is not None:
             keys = np.concatenate(frozen_keys)
         else:
-            keys = network.project(student, proj_input(out_freq))
-        if w.normalize_embeddings:
-            h, h_norms = losses.l2_normalize_positions(h_raw)
-            keys, _ = losses.l2_normalize_positions(keys)
-        else:
-            h = h_raw
+            keys = network.project(student, out_freq.features)
+        # With raw dot products the objective is unbounded below (inflating
+        # embedding norms drives it to -inf) and training diverges; unit
+        # vectors make the similarities cosines, the regime a 0.07
+        # temperature belongs to.
+        h, h_norms = losses.l2_normalize_positions(h_raw)
+        keys, _ = losses.l2_normalize_positions(keys)
         k_ub, k_lb = keys[:n], keys[n:]
         v1, dh1 = losses.infonce_grad(h[:n], k_ub, w.temperature, w.include_positive_in_denominator)
         v2, dh2 = losses.infonce_grad(h[n:], k_lb, w.temperature, w.include_positive_in_denominator)
         comp["contrastive"] = 0.5 * (v1 + v2)
         scale = w.lambda_contrastive * 0.5
-        dh = np.concatenate([scale * dh1, scale * dh2])
-        if w.normalize_embeddings:
-            dh = losses.l2_normalize_backward(h, h_norms, dh)
-        dproj = network.project_backward(student, pcache, dh, grads)
-        if cfg.net.project_logits:
-            dlog_main += dproj
-        else:
-            dfeat_main = dproj
+        dh = losses.l2_normalize_backward(h, h_norms, np.concatenate([scale * dh1, scale * dh2]))
+        dfeat_main = network.project_backward(student, pcache, dh, grads)
 
     network.backward(student, cache_main, dlog_main, dfeat_main, grads)
     if want_consist:
@@ -406,8 +390,8 @@ def build_pretrain_batch(
     a, ya = _augment_batch(a, ya, cfg.augment, rng)
     b, yb = _augment_batch(b, yb, cfg.augment, rng)
     m = _switch_mask(cfg, rng)
-    images = np.concatenate([np.where(m, a, b), np.where(m, b, a)])
-    labels = np.concatenate([np.where(m, ya, yb), np.where(m, yb, ya)])
+    images = np.concatenate(switch_pair(b, b, a, a, m))
+    labels = np.concatenate(switch_pair(yb, yb, ya, ya, m))
     return images, labels
 
 
@@ -505,14 +489,11 @@ def evaluate(params: SegNetParams, items, batch_size: int = 8, use_lcc: bool = F
     report = MetricReport()
     for start in range(0, len(items), batch_size):
         chunk = items[start : start + batch_size]
-        images = _stack_images(chunk)
-        logits = network.forward(params, images).logits
-        preds = argmax_channels(softmax_channels(logits))
+        logits = network.forward(params, _stack_images(chunk)).logits
+        preds = pseudo_labels(logits) if use_lcc else argmax_channels(softmax_channels(logits))
         for item, pred in zip(chunk, preds):
             if item.mask is None:
                 raise DataError(f"item {item.id} has no ground truth to evaluate against")
-            if use_lcc:
-                pred = largest_connected_component(pred)
             report.add(item.id, pred, item.mask)
     return report
 
@@ -528,8 +509,11 @@ def strategy_analysis(n_iter: int = 10000, height: int = 256, width: int = 256, 
     standard 128/32 at 256x256. Reductions are relative to the single-square
     2/3 baseline; n_iter of a few thousand or more gives stable statistics.
     """
-    if n_iter < 1:
-        raise ValueError("n_iter must be at least 1")
+    if n_iter < 1 or min(height, width) < 2 or seed < 0:
+        raise ConfigError(
+            f"need at least 1 iteration, a raster of at least 2x2 and a non-negative seed; "
+            f"got {n_iter} iterations, {height}x{width}, seed {seed}"
+        )
     coarse = max(1, height // 2)
     fine = max(1, height // 8)
     strategies = {

@@ -78,6 +78,25 @@ def test_config_error_exit_code(workdir):
     assert main(["pretrain", "--config", str(bad2), "--out", str(workdir / "x")]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--iters", "0"],
+        ["--iters", "-3"],
+        ["--size", "0"],
+        ["--size", "-8"],
+        ["--size", "1"],
+        ["--seed", "-1"],
+    ],
+)
+def test_analyze_strategy_out_of_range_arguments_exit_2(workdir, capsys, args):
+    out = workdir / "strategy"
+    assert main(["analyze-strategy", "--iters", "10", "--size", "16", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert not out.exists()
+
+
 def test_data_error_exit_code(workdir):
     # training without generated data (and a labeled_ratio that collapses)
     cfg_path = str(workdir / "config.json")

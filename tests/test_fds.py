@@ -7,6 +7,7 @@ from switchlab.fds import (
     FdsConfig,
     amplitude_phase,
     amplitude_switch,
+    fds_batch,
     fds_pair,
     fft2_shifted,
     low_freq_region_mask,
@@ -114,6 +115,26 @@ def test_reconstruct_matches_direct_idft():
     unshifted = np.roll(np.roll(new_spec, -(h // 2), axis=0), -(w // 2), axis=1)
     ref = direct_idft2(unshifted).real
     assert np.abs(x_r - ref).max() < 1e-8
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size,rho", [(32, 0.0175), (32, 0.3), (64, 0.1), (48, 0.2)])
+def test_fds_batch_equals_pairwise_fds_pair(size, rho, dtype):
+    rng = np.random.default_rng(size)
+    x = rng.uniform(size=(3, size, size)).astype(dtype)
+    u = rng.uniform(size=(3, size, size)).astype(dtype)
+    cfg = FdsConfig(area_ratio=rho)
+    x_r, u_r = fds_batch(x, u, cfg)
+    assert x_r.shape == u_r.shape == x.shape
+    for k in range(3):
+        x_k, u_k = fds_pair(x[k], u[k], cfg)
+        assert np.array_equal(x_r[k], x_k) and np.array_equal(u_r[k], u_k)
+    with pytest.raises(ValueError):
+        fds_batch(x, u[:2], cfg)
+    with pytest.raises(ValueError):
+        fds_batch(x, u[:, :-1], cfg)
+    with pytest.raises(ValueError):
+        fds_pair(x[0], u, cfg)
 
 
 def test_fds_pair_self_switch_identity():

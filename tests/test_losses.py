@@ -7,7 +7,6 @@ from oracles import infonce_loops
 from switchlab.grid import softmax_channels
 from switchlab.losses import (
     LossWeights,
-    consistency_mse,
     consistency_mse_grad,
     cross_entropy_loss,
     cross_entropy_loss_grad,
@@ -17,7 +16,7 @@ from switchlab.losses import (
     infonce_grad,
     l2_normalize_backward,
     l2_normalize_positions,
-    mixed_region_loss,
+    mixed_region_terms_grad,
     mss_loss,
     pretrain_loss,
     pretrain_loss_grad,
@@ -140,7 +139,8 @@ def test_mixed_region_all_true_mask_reduces_to_base():
     patch = (rng.uniform(size=(6, 6)) > 0.5).astype(np.uint8)
     w = LossWeights(base_weight=1.0, patch_weight=0.5)
     m = np.ones((6, 6), dtype=bool)
-    got = mixed_region_loss(logits, base, patch, m, w)
+    dice_t, ce_t, _ = mixed_region_terms_grad(logits, base, patch, m, w)
+    got = 0.5 * (dice_t + ce_t)
     d = dice_loss(softmax_channels(logits)[1], base, m.astype(float))
     c = cross_entropy_loss(logits, base, m.astype(float))
     assert got == pytest.approx(0.5 * (d + c), abs=1e-12)
@@ -155,8 +155,6 @@ def test_mixed_region_ce_additivity_on_half_masks():
     m = np.zeros((4, 6), dtype=bool)
     m[:, :3] = True
     w = LossWeights(base_weight=0.5, patch_weight=0.5)
-    from switchlab.losses import mixed_region_terms_grad
-
     _, ce_term, _ = mixed_region_terms_grad(logits, label, label, m, w)
     assert ce_term == pytest.approx(cross_entropy_loss(logits, label), abs=1e-12)
 
@@ -170,8 +168,6 @@ def test_mixed_region_perfect_prediction_zero_dice():
     logits = np.zeros((2, 4, 4))
     logits[1][composed == 1] = 60.0
     logits[0][composed == 0] = 60.0
-    from switchlab.losses import mixed_region_terms_grad
-
     dice_term, _, _ = mixed_region_terms_grad(logits, composed, composed, m, LossWeights())
     assert dice_term == pytest.approx(0.0, abs=1e-6)
 
@@ -208,9 +204,8 @@ def test_pretrain_equals_mixed_region_with_trivial_mask():
     gt = (rng.uniform(size=(6, 6)) > 0.5).astype(np.uint8)
     w = LossWeights(base_weight=1.0, patch_weight=0.0)
     m = np.ones((6, 6), dtype=bool)
-    assert pretrain_loss(logits, gt) == pytest.approx(
-        mixed_region_loss(logits, gt, gt, m, w), abs=1e-12
-    )
+    dice_t, ce_t, _ = mixed_region_terms_grad(logits, gt, gt, m, w)
+    assert pretrain_loss(logits, gt) == pytest.approx(0.5 * (dice_t + ce_t), abs=1e-12)
 
 
 def test_pretrain_grad_matches_fd():
@@ -319,14 +314,14 @@ def test_l2_normalize_and_backward_fd():
 
 def test_consistency_mse_cases():
     a = np.zeros((2, 3, 3))
-    assert consistency_mse(a, a.copy()) == 0.0
+    assert consistency_mse_grad(a, a.copy())[0] == 0.0
     b = a + 2.0
-    assert consistency_mse(a, b) == pytest.approx(4.0)
+    assert consistency_mse_grad(a, b)[0] == pytest.approx(4.0)
     rng = np.random.default_rng(12)
     x = rng.normal(size=(2, 4, 4))
     y = rng.normal(size=(2, 4, 4))
     ref = float(np.mean([(xi - yi) ** 2 for xi, yi in zip(x.ravel(), y.ravel())]))
-    assert consistency_mse(x, y) == pytest.approx(ref, abs=1e-12)
+    assert consistency_mse_grad(x, y)[0] == pytest.approx(ref, abs=1e-12)
 
 
 def test_consistency_mse_grad_fd():
@@ -339,7 +334,7 @@ def test_consistency_mse_grad_fd():
     ap, am = a.copy(), a.copy()
     ap[idx] += eps
     am[idx] -= eps
-    fd = (consistency_mse(ap, b) - consistency_mse(am, b)) / (2 * eps)
+    fd = (consistency_mse_grad(ap, b)[0] - consistency_mse_grad(am, b)[0]) / (2 * eps)
     assert da[idx] == pytest.approx(fd, rel=1e-6)
     assert np.allclose(db, -da)
 

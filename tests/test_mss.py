@@ -3,7 +3,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from switchlab.grid import compose_masked
 from switchlab.mss import (
     MssConfig,
     generate_bcp_mask,
@@ -67,29 +66,59 @@ def test_switch_pair_extremes_and_recovery():
     shape = (16, 16)
     x1, x2, u1, u2 = (rng.uniform(size=shape) for _ in range(4))
     all_true = np.ones(shape, dtype=bool)
-    pair = switch_pair(x1, x2, u1, u2, all_true)
-    assert np.array_equal(pair.unlabeled_base, u1)
-    assert np.array_equal(pair.labeled_base, x2)
-    pair = switch_pair(x1, x2, u1, u2, ~all_true)
-    assert np.array_equal(pair.unlabeled_base, x1)
-    assert np.array_equal(pair.labeled_base, u2)
+    mix_ub, mix_lb = switch_pair(x1, x2, u1, u2, all_true)
+    assert np.array_equal(mix_ub, u1)
+    assert np.array_equal(mix_lb, x2)
+    mix_ub, mix_lb = switch_pair(x1, x2, u1, u2, ~all_true)
+    assert np.array_equal(mix_ub, x1)
+    assert np.array_equal(mix_lb, u2)
 
     m = rng.uniform(size=shape) > 0.5
-    pair = switch_pair(x1, x2, u1, u2, m)
+    mix_ub, mix_lb = switch_pair(x1, x2, u1, u2, m)
     # each original is recoverable from itself plus the mixture: the mixture
     # already carries the original on one side of the mask
-    assert np.array_equal(compose_masked(u1, pair.unlabeled_base, ~m), u1)
-    assert np.array_equal(compose_masked(x1, pair.unlabeled_base, m), x1)
-    assert np.array_equal(compose_masked(x2, pair.labeled_base, ~m), x2)
-    assert np.array_equal(compose_masked(u2, pair.labeled_base, m), u2)
+    assert np.array_equal(np.where(~m, u1, mix_ub), u1)
+    assert np.array_equal(np.where(m, x1, mix_ub), x1)
+    assert np.array_equal(np.where(~m, x2, mix_lb), x2)
+    assert np.array_equal(np.where(m, u2, mix_lb), u2)
 
 
 def test_switch_pair_constant_inputs():
     shape = (8, 8)
     c = np.full(shape, 0.25)
     m = np.random.default_rng(0).uniform(size=shape) > 0.5
-    pair = switch_pair(c, c.copy(), c.copy(), c.copy(), m)
-    assert np.allclose(pair.unlabeled_base, 0.25)
+    mix_ub, _ = switch_pair(c, c.copy(), c.copy(), c.copy(), m)
+    assert np.allclose(mix_ub, 0.25)
+
+
+def test_switch_pair_composition_identities():
+    rng = np.random.default_rng(3)
+    a = rng.uniform(size=(5, 7))
+    b = rng.uniform(size=(5, 7))
+    m = rng.uniform(size=(5, 7)) > 0.5
+    assert np.array_equal(switch_pair(a, a, a, a, m)[0], a)
+    assert np.array_equal(switch_pair(b, b, a, a, np.ones_like(m))[0], a)
+    # partition identity: the two mixtures of the pair (a, b) hold every pixel once
+    ab, ba = switch_pair(b, b, a, a, m)
+    assert np.allclose(ab + ba, a + b)
+    # complement equivalence
+    assert np.array_equal(ab, switch_pair(a, a, b, b, ~m)[0])
+
+
+def test_switch_pair_shape_mismatch():
+    with pytest.raises(ValueError):
+        x, u = np.zeros((2, 2)), np.zeros((2, 3))
+        switch_pair(x, x, u, u, np.zeros((2, 2), dtype=bool))
+
+
+def test_switch_pair_broadcasts_one_mask_over_a_batch():
+    rng = np.random.default_rng(9)
+    x1, x2, u1, u2 = (rng.uniform(size=(3, 6, 6)) for _ in range(4))
+    m = rng.uniform(size=(6, 6)) > 0.5
+    mix_ub, mix_lb = switch_pair(x1, x2, u1, u2, m)
+    for k in range(3):
+        one_ub, one_lb = switch_pair(x1[k], x2[k], u1[k], u2[k], m)
+        assert np.array_equal(mix_ub[k], one_ub) and np.array_equal(mix_lb[k], one_lb)
 
 
 @pytest.mark.parametrize(

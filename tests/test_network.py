@@ -12,7 +12,6 @@ from switchlab.network import (
     forward,
     init_params,
     load_params,
-    parameter_count,
     project,
     save_params,
     sgd_step,
@@ -27,8 +26,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NetConfig(widths=(4,)).validate()
     with pytest.raises(ValueError):
-        NetConfig(num_classes=3).validate()
-    with pytest.raises(ValueError):
         NetConfig(compute_dtype="float16").validate()
 
 
@@ -42,9 +39,9 @@ def test_layout_deterministic_and_views_alias():
 
 def test_zero_params_zero_logits():
     params = SegNetParams(TINY)
-    out = forward(params, np.zeros((16, 16)))
+    out = forward(params, np.zeros((1, 16, 16)))
     assert np.all(out.logits == 0.0)
-    assert out.logits.shape == (2, 16, 16)
+    assert out.logits.shape == (1, 2, 16, 16)
 
 
 def test_forward_shapes_and_determinism():
@@ -58,7 +55,9 @@ def test_forward_shapes_and_determinism():
     assert np.array_equal(a.logits, b.logits)
     assert np.all(np.isfinite(a.logits))
     with pytest.raises(ValueError):
-        forward(params, np.zeros((8, 8)))
+        forward(params, np.zeros((1, 8, 8)))
+    with pytest.raises(ValueError):
+        forward(params, np.zeros((16, 16)))  # one image without the batch axis
 
 
 def test_project_shapes():
@@ -166,7 +165,7 @@ def test_ema_update_examples_and_contraction():
 
 
 def test_parameter_count_default_under_100k():
-    n = parameter_count(NetConfig())
+    n = SegNetParams(NetConfig()).size
     print(f"default config parameter count: {n}")
     assert n < 100_000
 

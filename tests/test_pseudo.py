@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import flood_fill_components, union_find_lcc
-from switchlab.grid import compose_masked
-from switchlab.pseudo import largest_connected_component, predict_pseudo_label
+from switchlab.mss import switch_pair
+from switchlab.pseudo import largest_connected_component, pseudo_labels
 
 
 def test_empty_and_single_component_pass_through():
@@ -62,23 +62,15 @@ def test_matches_union_find_oracle_random():
 
 
 def test_predict_pseudo_label_uniform_logits_all_background():
-    def teacher(img):
-        return np.zeros((2,) + img.shape)
-
-    label = predict_pseudo_label(teacher, np.zeros((8, 8)))
-    assert label.mask.sum() == 0
-    assert label.source_confidence == 0.0
+    labels = pseudo_labels(np.zeros((1, 2, 8, 8)))
+    assert labels.shape == (1, 8, 8)
+    assert labels.sum() == 0
 
 
 def test_predict_pseudo_label_all_foreground():
-    def teacher(img):
-        logits = np.zeros((2,) + img.shape)
-        logits[1] = 10.0
-        return logits
-
-    label = predict_pseudo_label(teacher, np.zeros((8, 8)))
-    assert label.mask.all()
-    assert label.source_confidence > 0.99
+    logits = np.zeros((1, 2, 8, 8))
+    logits[:, 1] = 10.0
+    assert pseudo_labels(logits).all()
 
 
 def test_predict_pseudo_label_filters_minor_blob():
@@ -86,19 +78,20 @@ def test_predict_pseudo_label_filters_minor_blob():
     blob_big[2:5, 2:5] = True   # 9 pixels
     blob_small = np.zeros((16, 16), dtype=bool)
     blob_small[10:12, 10:12] = True  # 4 pixels
-
-    def teacher(img):
-        logits = np.zeros((2,) + img.shape)
-        logits[1][blob_big | blob_small] = 5.0
-        return logits
-
-    label = predict_pseudo_label(teacher, np.zeros((16, 16)))
-    assert np.array_equal(label.mask == 1, blob_big)
+    logits = np.zeros((2, 2, 16, 16))
+    logits[0, 1][blob_big | blob_small] = 5.0
+    logits[1, 1][blob_small] = 5.0
+    labels = pseudo_labels(logits)
+    # each image of the batch is filtered on its own
+    assert np.array_equal(labels[0] == 1, blob_big)
+    assert np.array_equal(labels[1] == 1, blob_small)
 
 
 def test_predict_pseudo_label_rejects_bad_teacher():
     with pytest.raises(ValueError):
-        predict_pseudo_label(lambda img: np.zeros((2, 4, 4)), np.zeros((8, 8)))
+        pseudo_labels(np.zeros((2, 8, 8)))  # one image's logits, no batch axis
+    with pytest.raises(ValueError):
+        pseudo_labels(np.zeros((1, 3, 8, 8)))  # three classes
 
 
 def test_lcc_applies_after_composition_shapes():
@@ -107,6 +100,6 @@ def test_lcc_applies_after_composition_shapes():
     a = (rng.uniform(size=(10, 10)) > 0.5).astype(np.uint8)
     b = (rng.uniform(size=(10, 10)) > 0.5).astype(np.uint8)
     m = rng.uniform(size=(10, 10)) > 0.5
-    mixed = compose_masked(a, b, m)
+    mixed, _ = switch_pair(b, b, a, a, m)
     out = largest_connected_component(mixed)
     assert len(flood_fill_components(out)) <= 1

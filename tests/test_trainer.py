@@ -7,8 +7,10 @@ import pytest
 from switchlab import network
 from switchlab.errors import ConfigError, DataError
 from switchlab.losses import LossWeights
+from switchlab.metrics import MetricReport
 from switchlab.mss import MssConfig
 from switchlab.network import NetConfig, SegNetParams
+from switchlab.pseudo import pseudo_labels
 from switchlab.synthdata import SynthConfig, make_dataset
 from switchlab.trainer import (
     DataConfig,
@@ -92,6 +94,25 @@ def test_config_rejects_unknown_and_invalid(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        (("net",), "num_classes", 2),
+        (("net",), "project_logits", False),
+        (("loss",), "normalize_embeddings", True),
+        (("data", "synth"), "decoy_prob", 0.0),
+    ],
+)
+def test_config_keys_of_earlier_versions_are_unknown(section, key, value):
+    d = config_to_dict(tiny_config())
+    part = d
+    for name in section:
+        part = part[name]
+    part[key] = value
+    with pytest.raises(ConfigError, match=f"unknown keys \\['{key}'\\]"):
+        config_from_dict(d)
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +357,21 @@ def test_evaluate_perfect_stub_and_csv_rows(tiny_data, tmp_path):
     assert len(r1.image_ids) == len(tiny_data.val)
     r1.write_csv(tmp_path / "rows.csv")
     assert (tmp_path / "rows.csv").read_text().count("\n") == len(tiny_data.val) + 1
+
+
+def test_evaluate_lcc_scores_pseudo_labels_of_the_same_logits(tiny_data):
+    # an untrained net whose raw predictions have many components per image
+    params = network.init_params(tiny_config().net, np.random.default_rng(0))
+    items = tiny_data.val + tiny_data.test
+    got = evaluate(params, items, use_lcc=True)
+    logits = network.forward(params, np.stack([it.image for it in items])).logits
+    want = MetricReport()
+    for item, label in zip(items, pseudo_labels(logits)):
+        want.add(item.id, label, item.mask)
+    assert got.image_ids == want.image_ids
+    for name in ("dice", "iou", "hd95", "asd"):
+        assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+    assert got.dice != evaluate(params, items).dice  # the filter changed the scored masks
 
 
 def test_evaluate_requires_ground_truth(tiny_data):
