@@ -267,7 +267,7 @@ def _maxpool2(x: np.ndarray):
 
 def _maxpool2_backward(dout: np.ndarray, idx: np.ndarray) -> np.ndarray:
     n, hh, ww, c = dout.shape
-    dx = np.zeros((n, hh * 2, ww * 2, c), dtype=np.float64)
+    dx = np.zeros((n, hh * 2, ww * 2, c), dtype=dout.dtype)
     dx[:, 0::2, 0::2, :] = dout * (idx == 0)
     dx[:, 0::2, 1::2, :] = dout * (idx == 1)
     dx[:, 1::2, 0::2, :] = dout * (idx == 2)

@@ -202,3 +202,16 @@ def test_float32_compute_keeps_float64_params():
     params64 = SegNetParams(cfg64, params.vector.copy())
     out64 = forward(params64, np.random.default_rng(8).uniform(size=(2, 16, 16)))
     assert np.abs(out.logits - out64.logits).max() < 1e-4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_backward_keeps_the_gradient_dtype(dtype):
+    from switchlab.network import _maxpool2, _maxpool2_backward
+
+    x = np.random.default_rng(9).normal(size=(2, 4, 4, 3)).astype(dtype)
+    out, idx = _maxpool2(x)
+    dx = _maxpool2_backward(np.ones_like(out), idx)
+    assert dx.dtype == dtype
+    # the upstream gradient lands on each window's maximum only
+    assert np.array_equal(dx.reshape(2, 2, 2, 2, 2, 3).sum(axis=(2, 4)), np.ones_like(out))
+    assert np.sort(x[dx == 1]).tolist() == np.sort(out.ravel()).tolist()
