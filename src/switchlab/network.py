@@ -202,13 +202,13 @@ def _conv3_backward(xp, w, dout):
     dxp = np.zeros_like(xp)
     buf = np.empty((n, h, wd, c), dtype=dtype)
     bufm = buf.reshape(n * h * wd, c)
-    tmp = np.empty((n * h * wd, c), dtype=dtype)
     for di in range(3):
         for dj in range(3):
             np.copyto(buf, xp[:, di : di + h, dj : dj + wd, :])
             np.matmul(bufm.T, dmat, out=dwk[di, dj])
-            np.matmul(dmat, wk[di, dj].T, out=tmp)
-            dxp[:, di : di + h, dj : dj + wd, :] += tmp.reshape(n, h, wd, c)
+            # the window is spent once dwk has it; reuse its buffer for dx
+            np.matmul(dmat, wk[di, dj].T, out=bufm)
+            dxp[:, di : di + h, dj : dj + wd, :] += buf
     dw = dwk.transpose(3, 2, 0, 1)
     db = dmat.sum(axis=0)
     # fold the edge-replicated borders back (reverse of _pad_edge)
@@ -297,7 +297,7 @@ def _conv_relu(x, params: SegNetParams, name: str, cache: dict | None):
 
 
 def _conv_relu_backward(params, grads, name, cache, dout):
-    xp, relu_mask = cache[name]
+    xp, relu_mask = cache.pop(name)
     dpre = dout * relu_mask
     dx, dw, db = _conv3_backward(xp, params.view(f"{name}.w"), dpre)
     grads.view(f"{name}.w")[...] += dw
@@ -349,12 +349,13 @@ def backward(
     ``dlogits`` is the upstream gradient at the logits; ``dfeatures``
     optionally adds a gradient arriving at the decoder feature map (the
     projector path). Returns a gradient vector aligned with the layout.
+    The cache is consumed: each entry is dropped once its layer is done.
     """
     cfg = params.cfg
     if grads is None:
         grads = SegNetParams(cfg)
     dlogits = np.asarray(dlogits, dtype=cfg.dtype).transpose(0, 2, 3, 1)  # to channels-last
-    features = cache["features"]
+    features = cache.pop("features")
     dx, dw, db = _conv1_backward(features, params.view("head.w"), dlogits)
     grads.view("head.w")[...] += dw
     grads.view("head.b")[...] += db
@@ -401,17 +402,17 @@ def project_backward(
     params: SegNetParams, cache: dict, demb: np.ndarray, grads: SegNetParams
 ) -> np.ndarray:
     """Backward through the projector; returns the gradient at its input features
-    in channels-first layout."""
+    in channels-first layout. Consumes the cache, as ``backward`` does."""
     demb = np.asarray(demb, dtype=params.cfg.dtype)
-    p2 = cache["proj.p2"]
+    p2 = cache.pop("proj.p2")
     n, hh, ww, _ = p2.shape
     dout = demb.transpose(0, 2, 1).reshape(n, hh, ww, params.cfg.embed_dim)
     dp2, dw, db = _conv1_backward(p2, params.view("proj.out.w"), dout)
     grads.view("proj.out.w")[...] += dw
     grads.view("proj.out.b")[...] += db
-    dh2 = _maxpool2_backward(dp2, cache["proj.pool2.idx"])
+    dh2 = _maxpool2_backward(dp2, cache.pop("proj.pool2.idx"))
     dp1 = _conv_relu_backward(params, grads, "proj.conv2", cache, dh2)
-    dh1 = _maxpool2_backward(dp1, cache["proj.pool1.idx"])
+    dh1 = _maxpool2_backward(dp1, cache.pop("proj.pool1.idx"))
     dx = _conv_relu_backward(params, grads, "proj.conv1", cache, dh1)
     return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
 

@@ -3,12 +3,14 @@
 Phase 1 (pretrain): the student trains on switched pairs built from labeled
 data only, with the plain (dice + ce)/2 loss; the teacher does not exist yet.
 
-Phase 2 (self-train): each step draws labeled and unlabeled sub-batches,
-splits them in half, pseudo-labels the unlabeled halves with the teacher
-(argmax + largest-component filtering), augments, mixes both directions
-through one multiscale mask, builds the frequency-switched twin pair with
-the same mask, and optimizes the region-weighted mixed loss plus contrastive
-and consistency terms. The teacher follows the student by EMA.
+Phase 2 (self-train): each step draws equal labeled and unlabeled
+sub-batches, pseudo-labels the unlabeled ones with the teacher (argmax +
+largest-component filtering), augments all of them as one stack, splits it
+into quarters, mixes both directions through one multiscale mask, builds
+the frequency-switched twins with the same mask, and optimizes the
+region-weighted mixed loss plus contrastive and consistency terms. The
+mixtures and their twins go through the student as one stacked batch: one
+forward and one backward per step. The teacher follows the student by EMA.
 
 Everything is a pure function of (config, seed): identical runs produce
 bitwise-identical logs and checkpoints.
@@ -81,10 +83,14 @@ class TrainConfig:
             raise ConfigError("momentum must be in [0, 1)")
         if self.pretrain_iters < 1 or self.selftrain_iters < 1:
             raise ConfigError("iteration counts must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name in ("labeled_batch", "unlabeled_batch"):
             size = getattr(self, name)
             if size < 2 or size % 2:
                 raise ConfigError(f"{name} must be an even number >= 2 (it splits into halves)")
+        if self.labeled_batch != self.unlabeled_batch:
+            raise ConfigError("labeled_batch and unlabeled_batch must be equal (mixtures pair them 1:1)")
         if not 0.0 <= self.ema_alpha <= 1.0:
             raise ConfigError("ema_alpha must be in [0, 1]")
         if self.eval_every < 1:
@@ -186,7 +192,8 @@ class TrainLog:
 
 @dataclass
 class StepBatch:
-    """All arrays one self-training step consumes (built once per step)."""
+    """All arrays one self-training step consumes (built once per step). Each image
+    array holds n = batch/2 images; the student sees all four as one stack."""
 
     mix_ub: np.ndarray                 # unlabeled-base switched images (N, H, W)
     mix_lb: np.ndarray                 # labeled-base switched images
@@ -195,7 +202,7 @@ class StepBatch:
     base_lb: np.ndarray                # ground truth on the mask region of mix_lb
     patch_lb: np.ndarray               # pseudo labels on the complement of mix_lb
     mask: np.ndarray                   # shared switch mask (H, W)
-    mix_ub_freq: Optional[np.ndarray]  # frequency-switched twins (None if FDS off)
+    mix_ub_freq: Optional[np.ndarray]  # frequency-switched twins, same mask (None if FDS off)
     mix_lb_freq: Optional[np.ndarray]
 
 
@@ -208,6 +215,10 @@ def _draw(items, size: int, rng: np.random.Generator):
 
 def _stack_images(items) -> np.ndarray:
     return np.stack([it.image for it in items]).astype(np.float64)
+
+
+def _stack_masks(items) -> np.ndarray:
+    return np.stack([it.mask for it in items]).astype(np.uint8)
 
 
 def _augment_batch(images, labels, policy: AugmentPolicy, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -235,34 +246,26 @@ def build_selftrain_batch(
         raise DataError("self-training requires unlabeled items")
     labeled = _draw(data.labeled, cfg.labeled_batch, rng)
     unlabeled = _draw(data.unlabeled, cfg.unlabeled_batch, rng)
-    half_l = cfg.labeled_batch // 2
-    half_u = cfg.unlabeled_batch // 2
-
-    x1 = _stack_images(labeled[:half_l])
-    x2 = _stack_images(labeled[half_l:])
-    y1 = np.stack([it.mask for it in labeled[:half_l]]).astype(np.uint8)
-    y2 = np.stack([it.mask for it in labeled[half_l:]]).astype(np.uint8)
-    u1 = _stack_images(unlabeled[:half_u])
-    u2 = _stack_images(unlabeled[half_u:])
 
     # teacher sees the raw unlabeled images; geometry applied afterwards to
     # image and pseudo label together keeps them aligned
-    yu = pseudo_labels(network.forward(teacher, np.concatenate([u1, u2])).logits)
-    yu1, yu2 = yu[:half_u], yu[half_u:]
-
-    x1, y1 = _augment_batch(x1, y1, cfg.augment, rng)
-    x2, y2 = _augment_batch(x2, y2, cfg.augment, rng)
-    u1, yu1 = _augment_batch(u1, yu1, cfg.augment, rng)
-    u2, yu2 = _augment_batch(u2, yu2, cfg.augment, rng)
+    u = _stack_images(unlabeled)
+    yu = pseudo_labels(network.forward(teacher, u).logits)
+    x = np.concatenate([_stack_images(labeled), u])
+    y = np.concatenate([_stack_masks(labeled), yu])
+    images, labels = _augment_batch(x, y, cfg.augment, rng)
+    # quarters of n images: labeled x1, x2 and unlabeled u1, u2
+    x1, x2, u1, u2 = np.split(images, 4)
+    y1, y2, yu1, yu2 = np.split(labels, 4)
 
     m = _switch_mask(cfg, rng)
     mix_ub, mix_lb = switch_pair(x1, x2, u1, u2, m)
 
     mix_ub_freq = mix_lb_freq = None
     if cfg.use_fds:
-        x1f, u1f = fds.fds_batch(x1, u1, cfg.fds)
-        x2f, u2f = fds.fds_batch(x2, u2, cfg.fds)
-        mix_ub_freq, mix_lb_freq = switch_pair(x1f, x2f, u1f, u2f, m)
+        # pairs x1/u1 and x2/u2 image by image
+        xf, uf = fds.fds_batch(images[: cfg.labeled_batch], images[cfg.labeled_batch :], cfg.fds)
+        mix_ub_freq, mix_lb_freq = switch_pair(*np.split(xf, 2), *np.split(uf, 2), m)
 
     return StepBatch(
         mix_ub=mix_ub,
@@ -293,84 +296,79 @@ def selftrain_loss_and_grad(
 ) -> tuple[dict, SegNetParams]:
     """Loss components and the full parameter gradient for one step.
 
-    The contrastive keys (projections of the frequency-switched pair) are
-    constants: they are either recomputed fresh from the current student or
-    supplied via ``frozen_keys``, and never backpropagated. The consistency
-    term does flow through the frequency branch's logits.
+    The student runs once, forward and backward, on the stacked batch
+    [mix_ub; mix_lb; mix_ub_freq; mix_lb_freq] (4n images). The frequency
+    twins are left out (2n images) when no term needs them: the consistency
+    term is off and the contrastive keys are frozen or off.
 
-    Both mixing directions ride through one fused forward/backward; the loss
-    arithmetic stays per-direction.
+    The contrastive keys (projections of the twins' features) are constants:
+    they are either computed from the current student's twin rows or
+    supplied via ``frozen_keys``, and never backpropagated. The consistency
+    term does flow through the twins' logits. With live keys and no
+    consistency term the twins' rows carry a zero gradient through the
+    backward; that costs a larger backward but keeps a single code path.
+
+    The MSS terms stay per direction, because ``losses.mss_loss`` is the
+    mean of the four region-weighted terms. InfoNCE also stays per
+    direction: its B x K x K similarity tensors would double in size if
+    both directions went through one call.
     """
     w = cfg.loss
     grads = SegNetParams(student.cfg)
     comp = {"mss": 0.0, "contrastive": 0.0, "consistency": 0.0}
     n = batch.mix_ub.shape[0]
-
-    cache_main: dict = {}
-    out_main = network.forward(
-        student, np.concatenate([batch.mix_ub, batch.mix_lb]), cache_main
-    )
-    logits_ub, logits_lb = out_main.logits[:n], out_main.logits[n:]
-    dlog_main = np.zeros_like(out_main.logits)
-    dfeat_main = None
-
-    if "mss" in terms:
-        d_ub, c_ub, g_ub = losses.mixed_region_terms_grad(
-            logits_ub, batch.base_ub, batch.patch_ub, batch.mask, w
-        )
-        d_lb, c_lb, g_lb = losses.mixed_region_terms_grad(
-            logits_lb, batch.base_lb, batch.patch_lb, batch.mask, w
-        )
-        comp["mss"] = losses.mss_loss(d_ub, c_ub, d_lb, c_lb)
-        dlog_main[:n] += 0.25 * g_ub
-        dlog_main[n:] += 0.25 * g_lb
-
     has_freq = batch.mix_ub_freq is not None
     want_consist = "consistency" in terms and has_freq and w.lambda_consistency > 0
     want_cont = "contrastive" in terms and has_freq and w.lambda_contrastive > 0
+    live_keys = want_cont and frozen_keys is None
 
-    cache_freq: Optional[dict] = {} if want_consist else None
-    out_freq = None
-    if want_consist or (want_cont and frozen_keys is None):
-        out_freq = network.forward(
-            student, np.concatenate([batch.mix_ub_freq, batch.mix_lb_freq]), cache_freq
+    stack = [batch.mix_ub, batch.mix_lb]
+    if want_consist or live_keys:
+        stack += [batch.mix_ub_freq, batch.mix_lb_freq]
+    cache: dict = {}
+    out = network.forward(student, np.concatenate(stack), cache)
+    dlog = np.zeros_like(out.logits)
+    dfeat = None
+
+    if "mss" in terms:
+        d_ub, c_ub, g_ub = losses.mixed_region_terms_grad(
+            out.logits[:n], batch.base_ub, batch.patch_ub, batch.mask, w
         )
+        d_lb, c_lb, g_lb = losses.mixed_region_terms_grad(
+            out.logits[n : 2 * n], batch.base_lb, batch.patch_lb, batch.mask, w
+        )
+        comp["mss"] = losses.mss_loss(d_ub, c_ub, d_lb, c_lb)
+        dlog[:n] += 0.25 * g_ub
+        dlog[n : 2 * n] += 0.25 * g_lb
 
-    dlog_freq = None
     if want_consist:
-        v1, da1, db1 = losses.consistency_mse_grad(logits_ub, out_freq.logits[:n])
-        v2, da2, db2 = losses.consistency_mse_grad(logits_lb, out_freq.logits[n:])
-        comp["consistency"] = 0.5 * (v1 + v2)
-        scale = w.lambda_consistency * 0.5
-        dlog_main[:n] += scale * da1
-        dlog_main[n:] += scale * da2
-        dlog_freq = np.concatenate([scale * db1, scale * db2])
+        v, da, db = losses.consistency_mse_grad(out.logits[: 2 * n], out.logits[2 * n :])
+        comp["consistency"] = v
+        dlog[: 2 * n] += w.lambda_consistency * da
+        dlog[2 * n :] = w.lambda_consistency * db
 
     if want_cont:
         pcache: dict = {}
-        h_raw = network.project(student, out_main.features, pcache)
+        h_raw = network.project(student, out.features[: 2 * n], pcache)
         if frozen_keys is not None:
             keys = np.concatenate(frozen_keys)
         else:
-            keys = network.project(student, out_freq.features)
+            keys = network.project(student, out.features[2 * n :])
         # With raw dot products the objective is unbounded below (inflating
         # embedding norms drives it to -inf) and training diverges; unit
         # vectors make the similarities cosines, the regime a 0.07
         # temperature belongs to.
         h, h_norms = losses.l2_normalize_positions(h_raw)
         keys, _ = losses.l2_normalize_positions(keys)
-        k_ub, k_lb = keys[:n], keys[n:]
-        v1, dh1 = losses.infonce_grad(h[:n], k_ub, w.temperature, w.include_positive_in_denominator)
-        v2, dh2 = losses.infonce_grad(h[n:], k_lb, w.temperature, w.include_positive_in_denominator)
+        v1, dh1 = losses.infonce_grad(h[:n], keys[:n], w.temperature, w.include_positive_in_denominator)
+        v2, dh2 = losses.infonce_grad(h[n:], keys[n:], w.temperature, w.include_positive_in_denominator)
         comp["contrastive"] = 0.5 * (v1 + v2)
         scale = w.lambda_contrastive * 0.5
         dh = losses.l2_normalize_backward(h, h_norms, np.concatenate([scale * dh1, scale * dh2]))
-        dfeat_main = network.project_backward(student, pcache, dh, grads)
+        dfeat = np.zeros_like(out.features)
+        dfeat[: 2 * n] = network.project_backward(student, pcache, dh, grads)
 
-    network.backward(student, cache_main, dlog_main, dfeat_main, grads)
-    if want_consist:
-        network.backward(student, cache_freq, dlog_freq, None, grads)
-
+    network.backward(student, cache, dlog, dfeat, grads)
     comp["total"] = losses.total_loss(comp["mss"], comp["contrastive"], comp["consistency"], w)
     return comp, grads
 
@@ -382,13 +380,9 @@ def build_pretrain_batch(
     if not data.labeled:
         raise DataError("pretraining requires labeled items")
     labeled = _draw(data.labeled, cfg.labeled_batch, rng)
-    half = cfg.labeled_batch // 2
-    a = _stack_images(labeled[:half])
-    b = _stack_images(labeled[half:])
-    ya = np.stack([it.mask for it in labeled[:half]]).astype(np.uint8)
-    yb = np.stack([it.mask for it in labeled[half:]]).astype(np.uint8)
-    a, ya = _augment_batch(a, ya, cfg.augment, rng)
-    b, yb = _augment_batch(b, yb, cfg.augment, rng)
+    images, labels = _augment_batch(_stack_images(labeled), _stack_masks(labeled), cfg.augment, rng)
+    a, b = np.split(images, 2)
+    ya, yb = np.split(labels, 2)
     m = _switch_mask(cfg, rng)
     images = np.concatenate(switch_pair(b, b, a, a, m))
     labels = np.concatenate(switch_pair(yb, yb, ya, ya, m))

@@ -97,6 +97,16 @@ def test_analyze_strategy_out_of_range_arguments_exit_2(workdir, capsys, args):
     assert not out.exists()
 
 
+def test_negative_seed_is_a_config_error(workdir, capsys):
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["seed"] = -1
+    bad = workdir / "bad_seed.json"
+    bad.write_text(json.dumps(cfg))
+    assert main(["gen-data", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
 def test_data_error_exit_code(workdir):
     # training without generated data (and a labeled_ratio that collapses)
     cfg_path = str(workdir / "config.json")

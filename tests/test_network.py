@@ -13,6 +13,7 @@ from switchlab.network import (
     init_params,
     load_params,
     project,
+    project_backward,
     save_params,
     sgd_step,
 )
@@ -102,6 +103,19 @@ def test_gradient_full_fd_tiny_net():
     num = np.linalg.norm(grads.vector - fd)
     den = max(np.linalg.norm(grads.vector), np.linalg.norm(fd))
     assert num / den < 1e-6
+
+
+def test_backward_consumes_its_cache():
+    rng = np.random.default_rng(4)
+    params = init_params(TINY, rng)
+    cache, pcache = {}, {}
+    out = forward(params, rng.uniform(size=(2, 16, 16)), cache)
+    emb = project(params, out.features, pcache)
+    grads = SegNetParams(TINY)
+    dfeat = project_backward(params, pcache, np.ones_like(emb), grads)
+    backward(params, cache, np.ones_like(out.logits), dfeat, grads)
+    assert cache == {} and pcache == {}
+    assert np.all(np.isfinite(grads.vector)) and np.any(grads.vector != 0.0)
 
 
 def test_cosine_lr_schedule():

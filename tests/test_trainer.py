@@ -87,6 +87,14 @@ def test_config_rejects_unknown_and_invalid(tmp_path):
     with pytest.raises(ConfigError):
         config_from_dict(d)
     d = config_to_dict(tiny_config())
+    d["unlabeled_batch"] = 8  # each mixture pairs one labeled with one unlabeled image
+    with pytest.raises(ConfigError, match="must be equal"):
+        config_from_dict(d)
+    d = config_to_dict(tiny_config())
+    d["seed"] = -1
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        config_from_dict(d)
+    d = config_to_dict(tiny_config())
     d["net"]["height"] = 64  # no longer matches the dataset size
     with pytest.raises(ConfigError):
         config_from_dict(d)
@@ -243,6 +251,31 @@ def test_selftrain_gradients_match_fd(tiny_data):
         fd = (total(params.vector + 1e-5 * v) - total(params.vector - 1e-5 * v)) / 2e-5
         an = float(grads.vector @ v)
         assert abs(fd - an) / max(abs(fd), abs(an)) < 1e-4
+
+
+@pytest.mark.parametrize("use_fds,images", [(True, 8), (False, 4)])
+def test_selftrain_step_runs_the_student_once(tiny_data, monkeypatch, use_fds, images):
+    # mixtures and frequency twins share one forward and one backward
+    cfg = tiny_config(use_fds=use_fds)
+    teacher = network.init_params(cfg.net, np.random.default_rng(1))
+    student = network.init_params(cfg.net, np.random.default_rng(2))
+    batch = build_selftrain_batch(cfg, tiny_data, teacher, np.random.default_rng(3))
+    forwards, backwards = [], []
+    forward, backward = network.forward, network.backward
+
+    def counting_forward(params, imgs, cache=None):
+        forwards.append((imgs.shape[0], cache is not None))
+        return forward(params, imgs, cache)
+
+    def counting_backward(*args, **kwargs):
+        backwards.append(1)
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(network, "forward", counting_forward)
+    monkeypatch.setattr(network, "backward", counting_backward)
+    selftrain_loss_and_grad(student, batch, cfg)
+    assert forwards == [(images, True)]
+    assert len(backwards) == 1
 
 
 def test_frozen_keys_equal_live_keys_at_same_point(tiny_data):
