@@ -24,18 +24,26 @@ from . import fds, network, pgm, synthdata, trainer
 from .errors import ConfigError, DataError
 
 
+def _make_out_dir(path) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
+
+
 def _cmd_gen_data(args) -> int:
     cfg = trainer.load_config(args.config)
+    root = args.out or cfg.data.dir
+    _make_out_dir(root)
     split = synthdata.make_dataset(
         cfg.data.synth, cfg.data.labeled_ratio, cfg.data.split_ratios, seed=cfg.seed
     )
-    root = args.out or cfg.data.dir
     synthdata.save_dataset(split, root)
     counts = {name: len(ids) for name, ids in split.id_sets().items()}
     print(f"wrote dataset to {root}: {counts}")
     if args.fds_demo:
         demo_dir = os.path.join(root, "fds_demo")
-        os.makedirs(demo_dir, exist_ok=True)
+        _make_out_dir(demo_dir)
         a = split.labeled[0].image if split.labeled else split.val[0].image
         b = split.val[0].image
         a_r, b_r = fds.fds_pair(a, b, cfg.fds)
@@ -47,15 +55,11 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
-def _load_split(cfg) -> synthdata.DatasetSplit:
-    return synthdata.load_dataset(cfg.data.dir)
-
-
 def _cmd_pretrain(args) -> int:
     cfg = trainer.load_config(args.config)
-    data = _load_split(cfg)
+    _make_out_dir(args.out)
+    data = synthdata.load_dataset(cfg.data.dir)
     result = trainer.pretrain(cfg, data)
-    os.makedirs(args.out, exist_ok=True)
     network.save_params(os.path.join(args.out, "pretrain_student.bin"), result.student)
     if result.best is not None:
         network.save_params(os.path.join(args.out, "pretrain_student_best.bin"), result.best)
@@ -66,10 +70,10 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = trainer.load_config(args.config)
-    data = _load_split(cfg)
+    _make_out_dir(args.out)
+    data = synthdata.load_dataset(cfg.data.dir)
     init = network.load_params(args.init, cfg.net)
     result = trainer.self_train(cfg, data, init)
-    os.makedirs(args.out, exist_ok=True)
     network.save_params(os.path.join(args.out, "student.bin"), result.student)
     network.save_params(os.path.join(args.out, "teacher.bin"), result.teacher)
     if result.best is not None:
@@ -85,13 +89,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = trainer.load_config(args.config)
-    data = _load_split(cfg)
-    items = {"val": data.val, "test": data.test}.get(args.split)
-    if items is None:
+    if args.split not in ("val", "test"):
         raise ConfigError(f"--split must be 'val' or 'test', got {args.split!r}")
+    _make_out_dir(args.out)
+    data = synthdata.load_dataset(cfg.data.dir)
     params = network.load_params(args.ckpt, cfg.net)
-    report = trainer.evaluate(params, items, use_lcc=args.lcc)
-    os.makedirs(args.out, exist_ok=True)
+    report = trainer.evaluate(params, getattr(data, args.split), use_lcc=args.lcc)
     report.write_csv(os.path.join(args.out, f"metrics_{args.split}.csv"))
     agg = report.aggregate()
     with open(os.path.join(args.out, f"metrics_{args.split}.json"), "w", encoding="ascii") as fh:
@@ -102,7 +105,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_analyze_strategy(args) -> int:
     report = trainer.strategy_analysis(args.iters, args.size, args.size, args.seed)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     maps = report.pop("probability_maps")
     for name, pmap in maps.items():
         pgm.write_pgm(os.path.join(args.out, f"prob_map_{name}.pgm"), pmap)

@@ -6,8 +6,7 @@ Array conventions shared across the package:
               reconstruction may push them slightly outside).
 - LabelMask:  2-D integer array with class ids in {0, 1}.
 - BinaryMask: 2-D bool array.
-- Logits:     (2, H, W) float64 array of pre-softmax scores; batched variants
-              use a leading batch axis, i.e. (N, 2, H, W).
+- Logits:     (N, 2, H, W) float64 batch of pre-softmax scores.
 - ProbMap:    same shape as Logits; per-pixel channel sums equal 1.
 
 All functions are pure and thread-safe.
@@ -21,30 +20,28 @@ NUM_CLASSES = 2
 
 
 def softmax_channels(logits: np.ndarray) -> np.ndarray:
-    """Per-pixel softmax over the channel axis of a (2, H, W) or (N, 2, H, W) array.
+    """Per-pixel softmax over the channel axis of an (N, C, H, W) array.
 
     Computed with max-subtraction so large logits do not overflow.
     Raises ValueError on non-finite input.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim not in (3, 4):
-        raise ValueError(f"expected (C, H, W) or (N, C, H, W) logits, got shape {logits.shape}")
+    if logits.ndim != 4:
+        raise ValueError(f"expected (N, C, H, W) logits, got shape {logits.shape}")
     if not np.all(np.isfinite(logits)):
         raise ValueError("logits contain non-finite values")
-    axis = logits.ndim - 3
-    shifted = logits - logits.max(axis=axis, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def argmax_channels(probs: np.ndarray) -> np.ndarray:
-    """Label each pixel with its max-probability channel.
+    """Label each pixel of an (N, C, H, W) batch with its max-probability channel.
 
     Ties resolve to the lower class index (background), so a uniform
     prediction yields an all-background mask.
     """
     probs = np.asarray(probs)
-    if probs.ndim not in (3, 4):
-        raise ValueError(f"expected (C, H, W) or (N, C, H, W) probabilities, got shape {probs.shape}")
-    axis = probs.ndim - 3
-    return np.argmax(probs, axis=axis)
+    if probs.ndim != 4:
+        raise ValueError(f"expected (N, C, H, W) probabilities, got shape {probs.shape}")
+    return np.argmax(probs, axis=1)

@@ -1,10 +1,11 @@
 """Segmentation and representation losses with analytic gradients.
 
-Value functions accept a single sample (logits of shape (2, H, W), labels
-(H, W)) or a batch with a leading axis; batch losses are the mean of
-per-sample losses. Pixel weights implement region restriction: a weight
-raster of zeros contributes a zero loss (and zero gradient) rather than a
-division error.
+Dice and cross-entropy share two batch-only cores over (N, H, W) labels and
+pixel weights; batch losses are the mean of per-sample losses. Zero pixel
+weights restrict a loss to a region: an all-zero raster gives a zero loss
+(and zero gradient) rather than a division error. The training losses take
+(N, 2, H, W) logit batches; ``dice_loss`` and ``cross_entropy_loss`` also
+accept a single sample.
 
 Each differentiable loss has a ``*_grad`` companion returning
 ``(value, gradient)`` with the gradient taken with respect to the first
@@ -20,6 +21,8 @@ import numpy as np
 
 from .grid import softmax_channels
 
+_DICE_EPS = 1e-5  # smooths the Dice ratio; an empty prediction on an empty label scores 0
+
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -28,7 +31,6 @@ class LossWeights:
     lambda_contrastive: float = 0.1
     lambda_consistency: float = 0.1
     temperature: float = 0.07
-    dice_epsilon: float = 1e-5
     include_positive_in_denominator: bool = False
 
     def validate(self) -> None:
@@ -37,8 +39,6 @@ class LossWeights:
                 raise ValueError(f"{name} must be non-negative")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
-        if self.dice_epsilon < 0:
-            raise ValueError("dice_epsilon must be non-negative")
 
 
 def _batched(arr: np.ndarray, ndim: int) -> tuple[np.ndarray, bool]:
@@ -50,21 +50,42 @@ def _batched(arr: np.ndarray, ndim: int) -> tuple[np.ndarray, bool]:
     raise ValueError(f"expected {ndim}- or {ndim + 1}-D array, got shape {arr.shape}")
 
 
-def _weights_for(gt: np.ndarray, pixel_weights) -> np.ndarray:
-    if pixel_weights is None:
-        return np.ones_like(gt, dtype=np.float64)
-    w = np.asarray(pixel_weights, dtype=np.float64)
-    if w.ndim == gt.ndim - 1:
-        w = np.broadcast_to(w[None], gt.shape)
-    if w.shape != gt.shape:
-        raise ValueError(f"weights shape {w.shape} does not match labels {gt.shape}")
+def _labels_and_weights(shape: tuple, labels, pixel_weights) -> tuple[np.ndarray, np.ndarray]:
+    """Float labels and pixel weights (default 1) for an (N, H, W) batch."""
+    g = np.asarray(labels, dtype=np.float64)
+    if g.shape != shape:
+        raise ValueError(f"shape mismatch: labels {g.shape} vs batch {shape}")
+    w = np.broadcast_to(np.asarray(1.0 if pixel_weights is None else pixel_weights, np.float64), shape)
     if w.min() < 0:
         raise ValueError("pixel weights must be non-negative")
-    return w
+    return g, w
 
 
 # ---------------------------------------------------------------------------
 # Dice and cross-entropy
+
+
+def _dice_grad(p: np.ndarray, g: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Soft Dice of (N, H, W) foreground probabilities and its gradient."""
+    n = p.shape[0]
+    num = 2.0 * (w * p * g).sum(axis=(1, 2)) + _DICE_EPS
+    den = (w * p).sum(axis=(1, 2)) + (w * g).sum(axis=(1, 2)) + _DICE_EPS
+    loss = float(np.mean(1.0 - num / den))
+    dp = w * (num[:, None, None] - 2.0 * g * den[:, None, None]) / den[:, None, None] ** 2 / n
+    return loss, dp
+
+
+def _ce_grad(probs: np.ndarray, g: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Weighted CE of an (N, 2, H, W) probability batch and its logits gradient."""
+    n = probs.shape[0]
+    fg = g != 0
+    p_true = np.where(fg, probs[:, 1], probs[:, 0])
+    wsum = w.sum(axis=(1, 2))
+    safe = np.maximum(wsum, 1.0)
+    per_img = np.where(wsum > 0, (w * -np.log(np.maximum(p_true, 1e-300))).sum(axis=(1, 2)) / safe, 0.0)
+    onehot = np.stack([~fg, fg], axis=1).astype(np.float64)
+    scale = np.where(wsum > 0, 1.0 / safe, 0.0)[:, None, None, None] / n
+    return float(per_img.mean()), (probs - onehot) * w[:, None] * scale
 
 
 def dice_loss(prob_fg: np.ndarray, gt: np.ndarray, pixel_weights=None) -> float:
@@ -72,21 +93,10 @@ def dice_loss(prob_fg: np.ndarray, gt: np.ndarray, pixel_weights=None) -> float:
     return dice_loss_grad(prob_fg, gt, pixel_weights)[0]
 
 
-def dice_loss_grad(
-    prob_fg: np.ndarray, gt: np.ndarray, pixel_weights=None, eps: float = 1e-5
-) -> tuple[float, np.ndarray]:
+def dice_loss_grad(prob_fg: np.ndarray, gt: np.ndarray, pixel_weights=None) -> tuple[float, np.ndarray]:
     p, single = _batched(prob_fg, 2)
-    g, _ = _batched(gt, 2)
-    if p.shape != g.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
-    w = _weights_for(g, pixel_weights)
-    p = p.astype(np.float64)
-    g = g.astype(np.float64)
-    n = p.shape[0]
-    num = 2.0 * (w * p * g).sum(axis=(1, 2)) + eps
-    den = (w * p).sum(axis=(1, 2)) + (w * g).sum(axis=(1, 2)) + eps
-    loss = float(np.mean(1.0 - num / den))
-    dp = w * (num[:, None, None] - 2.0 * g * den[:, None, None]) / den[:, None, None] ** 2 / n
+    g, w = _labels_and_weights(p.shape, _batched(gt, 2)[0], pixel_weights)
+    loss, dp = _dice_grad(p.astype(np.float64), g, w)
     return loss, (dp[0] if single else dp)
 
 
@@ -99,40 +109,21 @@ def cross_entropy_loss_grad(
     logits: np.ndarray, gt: np.ndarray, pixel_weights=None
 ) -> tuple[float, np.ndarray]:
     z, single = _batched(logits, 3)
-    g, _ = _batched(gt, 2)
-    if z.shape[0] != g.shape[0] or z.shape[2:] != g.shape[1:]:
-        raise ValueError(f"shape mismatch: logits {z.shape} vs labels {g.shape}")
-    w = _weights_for(g, pixel_weights)
     probs = softmax_channels(z)
-    n = z.shape[0]
-    gi = (g != 0).astype(np.int64)
-    p_true = np.take_along_axis(probs, gi[:, None], axis=1)[:, 0]
-    wsum = w.sum(axis=(1, 2))
-    safe = np.maximum(wsum, 1.0)
-    per_img = np.where(wsum > 0, (w * -np.log(np.maximum(p_true, 1e-300))).sum(axis=(1, 2)) / safe, 0.0)
-    loss = float(per_img.mean())
-    onehot = np.stack([1.0 - gi, gi.astype(np.float64)], axis=1)
-    scale = np.where(wsum > 0, 1.0 / safe, 0.0)[:, None, None, None] / n
-    dz = (probs - onehot) * w[:, None] * scale
+    g, w = _labels_and_weights(probs[:, 1].shape, _batched(gt, 2)[0], pixel_weights)
+    loss, dz = _ce_grad(probs, g, w)
     return loss, (dz[0] if single else dz)
 
 
-def _seg_terms_grad(
-    logits: np.ndarray, gt: np.ndarray, pixel_weights, eps: float
-) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Dice and CE on one region, plus gradients of each w.r.t. the logits."""
-    z, single = _batched(logits, 3)
-    probs = softmax_channels(z)
+def _seg_terms_grad(probs: np.ndarray, labels, pixel_weights) -> tuple[float, float, np.ndarray]:
+    """Dice and CE on one weighted region, plus the logits gradient of their sum."""
     p_fg = probs[:, 1]
-    g, _ = _batched(gt, 2)
-    dice, dp = dice_loss_grad(p_fg, g, pixel_weights, eps=eps)
+    g, w = _labels_and_weights(p_fg.shape, labels, pixel_weights)
+    dice, dp = _dice_grad(p_fg, g, w)
+    ce, dce = _ce_grad(probs, g, w)
     # two-class softmax chain: dp_fg/dz_fg = p(1-p), dp_fg/dz_bg = -p(1-p)
     jac = p_fg * (1.0 - p_fg)
-    ddice = np.stack([-dp * jac, dp * jac], axis=1)
-    ce, dce = cross_entropy_loss_grad(z, g, pixel_weights)
-    if single:
-        ddice, dce = ddice[0], dce[0]
-    return dice, ce, ddice, dce
+    return dice, ce, np.stack([-dp * jac, dp * jac], axis=1) + dce
 
 
 def mixed_region_terms_grad(
@@ -142,24 +133,22 @@ def mixed_region_terms_grad(
     mask: np.ndarray,
     w: LossWeights,
 ) -> tuple[float, float, np.ndarray]:
-    """Region-weighted dice and ce terms plus the gradient of their sum.
+    """Region-weighted dice and ce terms of a logit batch plus the gradient of their sum.
 
     Each term is ``base_weight`` times its value on the mask-true region
     against ``base_label`` plus ``patch_weight`` times its value on the
     complement against ``patch_label``; the mixed loss of one switched
     sample is half their sum.
     """
-    m = np.asarray(mask)
-    if m.shape != np.asarray(base_label).shape[-2:]:
+    m = np.asarray(mask, dtype=bool)
+    if m.shape != np.shape(base_label)[-2:]:
         raise ValueError(f"mask shape {m.shape} does not match labels")
-    w_base = m.astype(np.float64)
-    w_patch = (~m.astype(bool)).astype(np.float64)
-    d_b, c_b, dd_b, dc_b = _seg_terms_grad(pred_logits, base_label, w_base, w.dice_epsilon)
-    d_p, c_p, dd_p, dc_p = _seg_terms_grad(pred_logits, patch_label, w_patch, w.dice_epsilon)
+    probs = softmax_channels(pred_logits)
+    d_b, c_b, g_b = _seg_terms_grad(probs, base_label, m.astype(np.float64))
+    d_p, c_p, g_p = _seg_terms_grad(probs, patch_label, (~m).astype(np.float64))
     dice_term = w.base_weight * d_b + w.patch_weight * d_p
     ce_term = w.base_weight * c_b + w.patch_weight * c_p
-    dlogits = w.base_weight * (dd_b + dc_b) + w.patch_weight * (dd_p + dc_p)
-    return dice_term, ce_term, dlogits
+    return dice_term, ce_term, w.base_weight * g_b + w.patch_weight * g_p
 
 
 def mss_loss(dice_ux: float, ce_ux: float, dice_xu: float, ce_xu: float) -> float:
@@ -171,13 +160,13 @@ def mss_loss(dice_ux: float, ce_ux: float, dice_xu: float, ce_xu: float) -> floa
 
 
 def pretrain_loss(logits: np.ndarray, gt: np.ndarray) -> float:
-    """Uniform-weight (dice + ce) / 2, used by the supervised phase."""
+    """Uniform-weight (dice + ce) / 2 of a logit batch, used by the supervised phase."""
     return pretrain_loss_grad(logits, gt)[0]
 
 
 def pretrain_loss_grad(logits: np.ndarray, gt: np.ndarray) -> tuple[float, np.ndarray]:
-    dice, ce, ddice, dce = _seg_terms_grad(logits, gt, None, eps=1e-5)
-    return 0.5 * (dice + ce), 0.5 * (ddice + dce)
+    dice, ce, dlogits = _seg_terms_grad(softmax_channels(logits), gt, None)
+    return 0.5 * (dice + ce), 0.5 * dlogits
 
 
 # ---------------------------------------------------------------------------

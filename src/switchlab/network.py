@@ -463,8 +463,11 @@ def save_params(path, params: SegNetParams) -> None:
 
 
 def load_params(path, cfg: NetConfig) -> SegNetParams:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
     head = len(CHECKPOINT_MAGIC) + struct.calcsize("<IQQ")
     if len(raw) < head or raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: not a parameter checkpoint")
@@ -474,7 +477,6 @@ def load_params(path, cfg: NetConfig) -> SegNetParams:
     expected = layout_hash(build_layout(cfg))
     if lhash != expected:
         raise DataError(f"{path}: checkpoint layout does not match the configured network")
-    vector = np.frombuffer(raw[head:], dtype="<f8")
-    if vector.size != count:
-        raise DataError(f"{path}: truncated checkpoint ({vector.size} of {count} values)")
-    return SegNetParams(cfg, vector.astype(np.float64))
+    if len(raw) - head != 8 * count:
+        raise DataError(f"{path}: truncated checkpoint ({len(raw) - head} of {8 * count} payload bytes)")
+    return SegNetParams(cfg, np.frombuffer(raw[head:], dtype="<f8").astype(np.float64))

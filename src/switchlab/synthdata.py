@@ -249,10 +249,17 @@ def save_dataset(split: DatasetSplit, root) -> None:
 
 def load_dataset(root) -> DatasetSplit:
     path = os.path.join(root, "manifest.json")
-    if not os.path.exists(path):
-        raise DataError(f"no dataset manifest at {path}")
-    with open(path, encoding="ascii") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(path, encoding="ascii") as fh:
+            manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read dataset manifest {path}: {exc}") from exc
+
+    def entries(part: str) -> list:
+        listed = manifest.get(part, []) if isinstance(manifest, dict) else None
+        if not isinstance(listed, list) or not all(isinstance(e, dict) and "id" in e for e in listed):
+            raise DataError(f"dataset manifest {path}: '{part}' is not a list of entries with an 'id'")
+        return listed
 
     def load_item(part: str, item_id: str) -> Item:
         img_path = os.path.join(root, part, f"img_{item_id}.pgm")
@@ -262,13 +269,13 @@ def load_dataset(root) -> DatasetSplit:
         return Item(id=item_id, image=pgm.read_pgm(img_path), mask=pgm.read_mask_pgm(msk_path))
 
     labeled, unlabeled, sealed = [], [], {}
-    for entry in manifest.get("train", []):
+    for entry in entries("train"):
         item = load_item("train", entry["id"])
         if entry.get("labeled", False):
             labeled.append(item)
         else:
             unlabeled.append(Item(id=item.id, image=item.image, mask=None))
             sealed[item.id] = item.mask
-    val = [load_item("val", e["id"]) for e in manifest.get("val", [])]
-    test = [load_item("test", e["id"]) for e in manifest.get("test", [])]
+    val = [load_item("val", e["id"]) for e in entries("val")]
+    test = [load_item("test", e["id"]) for e in entries("test")]
     return DatasetSplit(labeled, unlabeled, val, test, sealed)

@@ -128,3 +128,43 @@ def test_eval_rejects_unknown_split(workdir):
         "--split", "nope", "--out", str(workdir / "report"),
     ])
     assert code == 2
+
+
+def _one_error_line(capsys, prefix):
+    err = capsys.readouterr().err.strip().splitlines()
+    return len(err) == 1 and err[0].startswith(prefix)
+
+
+def test_unreadable_checkpoint_is_a_data_error(workdir, capsys):
+    cfg_path = str(workdir / "config.json")
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(["pretrain", "--config", cfg_path, "--out", str(workdir / "ckpt")]) == 0
+    cut = workdir / "cut.bin"
+    cut.write_bytes((workdir / "ckpt" / "pretrain_student.bin").read_bytes()[:101])
+    capsys.readouterr()
+    for ckpt, message in [(workdir / "missing.bin", "cannot read checkpoint"), (cut, "truncated checkpoint")]:
+        args = ["eval", "--config", cfg_path, "--ckpt", str(ckpt), "--out", str(workdir / "report")]
+        assert main(args) == 3
+        assert _one_error_line(capsys, "data error:")
+        assert main(["train", "--config", cfg_path, "--init", str(ckpt), "--out", str(workdir / "st")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+
+
+@pytest.mark.parametrize("manifest", ["{not json", '{"train": [{"labeled": true}]}', '{"val": 3}'])
+def test_corrupt_manifest_is_a_data_error(workdir, capsys, manifest):
+    cfg_path = str(workdir / "config.json")
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    (workdir / "data" / "manifest.json").write_text(manifest)
+    capsys.readouterr()
+    assert main(["pretrain", "--config", cfg_path, "--out", str(workdir / "ckpt")]) == 3
+    assert _one_error_line(capsys, "data error:")
+
+
+@pytest.mark.parametrize("command", [["pretrain"], ["train", "--init", "none.bin"], ["eval", "--ckpt", "none.bin"]])
+def test_uncreatable_out_dir_is_a_config_error_before_any_work(workdir, capsys, command):
+    # no dataset exists, so any work before creating --out would end in a data error
+    (workdir / "file").write_text("")
+    out = workdir / "file" / "out"
+    assert main([command[0], "--config", str(workdir / "config.json"), *command[1:], "--out", str(out)]) == 2
+    assert _one_error_line(capsys, "config error:")

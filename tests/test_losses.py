@@ -100,7 +100,7 @@ def test_ce_hand_computed_2x2():
     logits[0] = [[1.0, -1.0], [0.5, 2.0]]
     logits[1] = [[0.0, 1.0], [0.5, -2.0]]
     gt = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-    probs = softmax_channels(logits)
+    probs = softmax_channels(logits[None])[0]
     expected = np.mean(
         [
             -math.log(probs[0, 0, 0]),
@@ -134,14 +134,14 @@ def test_ce_zero_weights_and_grad_fd():
 
 def test_mixed_region_all_true_mask_reduces_to_base():
     rng = np.random.default_rng(4)
-    logits = rng.normal(size=(2, 6, 6))
-    base = (rng.uniform(size=(6, 6)) > 0.5).astype(np.uint8)
-    patch = (rng.uniform(size=(6, 6)) > 0.5).astype(np.uint8)
+    logits = rng.normal(size=(2, 2, 6, 6))
+    base = (rng.uniform(size=(2, 6, 6)) > 0.5).astype(np.uint8)
+    patch = (rng.uniform(size=(2, 6, 6)) > 0.5).astype(np.uint8)
     w = LossWeights(base_weight=1.0, patch_weight=0.5)
     m = np.ones((6, 6), dtype=bool)
     dice_t, ce_t, _ = mixed_region_terms_grad(logits, base, patch, m, w)
     got = 0.5 * (dice_t + ce_t)
-    d = dice_loss(softmax_channels(logits)[1], base, m.astype(float))
+    d = dice_loss(softmax_channels(logits)[:, 1], base, m.astype(float))
     c = cross_entropy_loss(logits, base, m.astype(float))
     assert got == pytest.approx(0.5 * (d + c), abs=1e-12)
 
@@ -150,8 +150,8 @@ def test_mixed_region_ce_additivity_on_half_masks():
     # with equal half-area regions and both weights 1/2, the CE part must
     # reassemble the whole-image CE exactly
     rng = np.random.default_rng(5)
-    logits = rng.normal(size=(2, 4, 6))
-    label = (rng.uniform(size=(4, 6)) > 0.5).astype(np.uint8)
+    logits = rng.normal(size=(2, 2, 4, 6))
+    label = (rng.uniform(size=(2, 4, 6)) > 0.5).astype(np.uint8)
     m = np.zeros((4, 6), dtype=bool)
     m[:, :3] = True
     w = LossWeights(base_weight=0.5, patch_weight=0.5)
@@ -164,10 +164,10 @@ def test_mixed_region_perfect_prediction_zero_dice():
     base[1:3, 1:3] = 1
     m = np.zeros((4, 4), dtype=bool)
     m[:2] = True
-    composed = base  # same label both sides for simplicity
-    logits = np.zeros((2, 4, 4))
-    logits[1][composed == 1] = 60.0
-    logits[0][composed == 0] = 60.0
+    composed = base[None]  # same label both sides for simplicity
+    logits = np.zeros((1, 2, 4, 4))
+    logits[:, 1][composed == 1] = 60.0
+    logits[:, 0][composed == 0] = 60.0
     dice_term, _, _ = mixed_region_terms_grad(logits, composed, composed, m, LossWeights())
     assert dice_term == pytest.approx(0.0, abs=1e-6)
 
@@ -185,23 +185,23 @@ def test_mss_loss_arithmetic():
 
 
 def test_pretrain_loss_perfect_and_uniform():
-    gt = np.zeros((4, 4), dtype=np.uint8)
-    gt[1:3, 1:3] = 1
-    logits = np.zeros((2, 4, 4))
-    logits[1][gt == 1] = 60.0
-    logits[0][gt == 0] = 60.0
+    gt = np.zeros((1, 4, 4), dtype=np.uint8)
+    gt[0, 1:3, 1:3] = 1
+    logits = np.zeros((1, 2, 4, 4))
+    logits[:, 1][gt == 1] = 60.0
+    logits[:, 0][gt == 0] = 60.0
     assert pretrain_loss(logits, gt) == pytest.approx(0.0, abs=1e-6)
 
-    uniform = np.zeros((2, 4, 4))
-    d = dice_loss(np.full((4, 4), 0.5), gt)
+    uniform = np.zeros((1, 2, 4, 4))
+    d = dice_loss(np.full((4, 4), 0.5), gt[0])
     expected = 0.5 * (d + math.log(2.0))
     assert pretrain_loss(uniform, gt) == pytest.approx(expected, abs=1e-12)
 
 
 def test_pretrain_equals_mixed_region_with_trivial_mask():
     rng = np.random.default_rng(6)
-    logits = rng.normal(size=(2, 6, 6))
-    gt = (rng.uniform(size=(6, 6)) > 0.5).astype(np.uint8)
+    logits = rng.normal(size=(2, 2, 6, 6))
+    gt = (rng.uniform(size=(2, 6, 6)) > 0.5).astype(np.uint8)
     w = LossWeights(base_weight=1.0, patch_weight=0.0)
     m = np.ones((6, 6), dtype=bool)
     dice_t, ce_t, _ = mixed_region_terms_grad(logits, gt, gt, m, w)
@@ -210,16 +210,63 @@ def test_pretrain_equals_mixed_region_with_trivial_mask():
 
 def test_pretrain_grad_matches_fd():
     rng = np.random.default_rng(7)
-    logits = rng.normal(size=(2, 4, 4))
-    gt = (rng.uniform(size=(4, 4)) > 0.5).astype(np.uint8)
+    logits = rng.normal(size=(2, 2, 4, 4))
+    gt = (rng.uniform(size=(2, 4, 4)) > 0.5).astype(np.uint8)
     _, grad = pretrain_loss_grad(logits, gt)
     eps = 1e-6
-    for idx in [(0, 0, 0), (1, 2, 3), (0, 3, 1)]:
+    for idx in [(0, 0, 0, 0), (1, 1, 2, 3), (1, 0, 3, 1)]:
         lp, lm = logits.copy(), logits.copy()
         lp[idx] += eps
         lm[idx] -= eps
         fd = (pretrain_loss(lp, gt) - pretrain_loss(lm, gt)) / (2 * eps)
         assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-10)
+
+
+def _composed_region_terms(logits, labels, weights):
+    # dice on the foreground softmax, chained to the logits, plus CE
+    p_fg = softmax_channels(logits)[:, 1]
+    dice, dp = dice_loss_grad(p_fg, labels, weights)
+    ce, dce = cross_entropy_loss_grad(logits, labels, weights)
+    jac = p_fg * (1.0 - p_fg)
+    return dice, ce, np.stack([-dp * jac, dp * jac], axis=1) + dce
+
+
+def _bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_training_losses_equal_the_public_dice_and_ce_bit_for_bit(dtype):
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        logits = (rng.normal(size=(3, 2, 9, 7)) * rng.choice([0.1, 3.0, 30.0])).astype(dtype)
+        base = (rng.uniform(size=(3, 9, 7)) > 0.6).astype(np.uint8)
+        patch = (rng.uniform(size=(3, 9, 7)) > 0.8).astype(np.uint8)
+        m = rng.uniform(size=(9, 7)) > 0.5
+        w = LossWeights(base_weight=float(rng.uniform()), patch_weight=float(rng.uniform()))
+        d_b, c_b, g_b = _composed_region_terms(logits, base, m.astype(float))
+        d_p, c_p, g_p = _composed_region_terms(logits, patch, (~m).astype(float))
+        dice_t, ce_t, grad = mixed_region_terms_grad(logits, base, patch, m, w)
+        assert dice_t == w.base_weight * d_b + w.patch_weight * d_p
+        assert ce_t == w.base_weight * c_b + w.patch_weight * c_p
+        assert _bitwise_equal(grad, w.base_weight * g_b + w.patch_weight * g_p)
+
+        d, c, g = _composed_region_terms(logits, base, None)
+        loss, grad = pretrain_loss_grad(logits, base)
+        assert loss == 0.5 * (d + c)
+        assert _bitwise_equal(grad, 0.5 * g)
+
+
+def test_training_losses_take_batches_only():
+    logits = np.zeros((2, 4, 4))
+    labels = np.zeros((4, 4), dtype=np.uint8)
+    with pytest.raises(ValueError):
+        pretrain_loss_grad(logits, labels)
+    with pytest.raises(ValueError):
+        mixed_region_terms_grad(logits, labels, labels, labels.astype(bool), LossWeights())
+    with pytest.raises(ValueError, match="shape mismatch"):
+        pretrain_loss_grad(logits[None], np.zeros((2, 4, 4), dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------

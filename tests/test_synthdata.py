@@ -136,3 +136,12 @@ def test_round_trip_on_disk(tmp_path):
 def test_load_missing_manifest(tmp_path):
     with pytest.raises(DataError):
         load_dataset(tmp_path / "nope")
+
+
+@pytest.mark.parametrize(
+    "manifest", ["{not json", "[]", '{"train": [{"labeled": true}]}', '{"test": ["t0"]}', '{"val": 3}']
+)
+def test_load_corrupt_manifest(tmp_path, manifest):
+    (tmp_path / "manifest.json").write_text(manifest)
+    with pytest.raises(DataError, match="manifest"):
+        load_dataset(tmp_path)

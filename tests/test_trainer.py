@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from switchlab import network
+from switchlab import losses, network, trainer
 from switchlab.errors import ConfigError, DataError
 from switchlab.losses import LossWeights
 from switchlab.metrics import MetricReport
@@ -23,6 +23,7 @@ from switchlab.trainer import (
     evaluate,
     load_config,
     pretrain,
+    pretrain_loss_and_grad,
     save_config,
     self_train,
     selftrain_loss_and_grad,
@@ -111,6 +112,7 @@ def test_config_rejects_unknown_and_invalid(tmp_path):
         (("net",), "project_logits", False),
         (("loss",), "normalize_embeddings", True),
         (("data", "synth"), "decoy_prob", 0.0),
+        (("loss",), "dice_epsilon", 1e-5),
     ],
 )
 def test_config_keys_of_earlier_versions_are_unknown(section, key, value):
@@ -276,6 +278,31 @@ def test_selftrain_step_runs_the_student_once(tiny_data, monkeypatch, use_fds, i
     selftrain_loss_and_grad(student, batch, cfg)
     assert forwards == [(images, True)]
     assert len(backwards) == 1
+
+
+@pytest.mark.parametrize("use_fds", [True, False])
+def test_each_loss_step_takes_one_softmax_per_logits_batch(tiny_data, monkeypatch, use_fds):
+    # one softmax per mixing direction feeds both region terms of Dice and CE
+    cfg = tiny_config(use_fds=use_fds)
+    teacher = network.init_params(cfg.net, np.random.default_rng(1))
+    student = network.init_params(cfg.net, np.random.default_rng(2))
+    batch = build_selftrain_batch(cfg, tiny_data, teacher, np.random.default_rng(3))
+    images, labels = build_pretrain_batch(cfg, tiny_data, np.random.default_rng(4))
+    shapes = []
+    softmax = losses.softmax_channels
+
+    def counting_softmax(logits):
+        shapes.append(np.shape(logits))
+        return softmax(logits)
+
+    for module in (losses, trainer):
+        monkeypatch.setattr(module, "softmax_channels", counting_softmax)
+    selftrain_loss_and_grad(student, batch, cfg)
+    n = cfg.labeled_batch // 2
+    assert shapes == [(n, 2, 32, 32)] * 2
+    shapes.clear()
+    pretrain_loss_and_grad(student, images, labels)
+    assert shapes == [(cfg.labeled_batch, 2, 32, 32)]
 
 
 def test_frozen_keys_equal_live_keys_at_same_point(tiny_data):
