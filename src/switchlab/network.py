@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -454,12 +455,25 @@ def ema_update(teacher: SegNetParams, student: SegNetParams, alpha: float) -> Se
     return teacher
 
 
+def _write_atomic(path, chunks) -> None:
+    """Write byte chunks to a temporary file beside ``path``, then rename it
+    over ``path``: an interrupted write leaves the previous file as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_params(path, params: SegNetParams) -> None:
     """Binary checkpoint: magic, version, layout hash, little-endian doubles."""
     header = CHECKPOINT_MAGIC + struct.pack("<IQQ", CHECKPOINT_VERSION, params.layout_hash(), params.size)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(params.vector.astype("<f8").tobytes())
+    _write_atomic(path, (header, params.vector.astype("<f8").tobytes()))
 
 
 def load_params(path, cfg: NetConfig) -> SegNetParams:

@@ -181,9 +181,7 @@ class TrainLog:
         return [json.dumps(r, sort_keys=True) for r in self.records]
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            for line in self.lines():
-                fh.write(line + "\n")
+        network._write_atomic(path, ((line + "\n").encode("ascii") for line in self.lines()))
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +307,9 @@ def selftrain_loss_and_grad(
     backward; that costs a larger backward but keeps a single code path.
 
     The MSS terms stay per direction, because ``losses.mss_loss`` is the
-    mean of the four region-weighted terms. InfoNCE also stays per
-    direction: its B x K x K similarity tensors would double in size if
-    both directions went through one call.
+    mean of the four region-weighted terms. InfoNCE takes both directions
+    in one call; its mean over the 2n x K query rows is the mean of the two
+    directions' losses.
     """
     w = cfg.loss
     grads = SegNetParams(student.cfg)
@@ -360,11 +358,8 @@ def selftrain_loss_and_grad(
         # temperature belongs to.
         h, h_norms = losses.l2_normalize_positions(h_raw)
         keys, _ = losses.l2_normalize_positions(keys)
-        v1, dh1 = losses.infonce_grad(h[:n], keys[:n], w.temperature, w.include_positive_in_denominator)
-        v2, dh2 = losses.infonce_grad(h[n:], keys[n:], w.temperature, w.include_positive_in_denominator)
-        comp["contrastive"] = 0.5 * (v1 + v2)
-        scale = w.lambda_contrastive * 0.5
-        dh = losses.l2_normalize_backward(h, h_norms, np.concatenate([scale * dh1, scale * dh2]))
+        comp["contrastive"], dh = losses.infonce_grad(h, keys, w.temperature, w.include_positive_in_denominator)
+        dh = losses.l2_normalize_backward(h, h_norms, w.lambda_contrastive * dh)
         dfeat = np.zeros_like(out.features)
         dfeat[: 2 * n] = network.project_backward(student, pcache, dh, grads)
 
@@ -437,6 +432,8 @@ def pretrain(cfg: TrainConfig, data: DatasetSplit) -> PhaseResult:
         lr = network.cosine_lr(step, cfg.pretrain_iters, cfg.lr0)
         images, labels = build_pretrain_batch(cfg, data, rng)
         loss, grads = pretrain_loss_and_grad(student, images, labels)
+        if not np.isfinite(loss):
+            raise DataError(f"pretraining diverged at step {step}: loss {loss}")
         network.sgd_step(student, grads, lr, cfg.momentum, velocity)
         log.add(phase="pretrain", step=step, lr=lr, loss=loss)
         if (step + 1) % cfg.eval_every == 0 or step + 1 == cfg.pretrain_iters:
@@ -458,7 +455,10 @@ def self_train(cfg: TrainConfig, data: DatasetSplit, init: SegNetParams) -> Phas
     for step in range(cfg.selftrain_iters):
         lr = network.cosine_lr(step, cfg.selftrain_iters, cfg.lr0)
         batch = build_selftrain_batch(cfg, data, teacher, rng)
-        comp, grads = selftrain_loss_and_grad(student, batch, cfg)
+        try:
+            comp, grads = selftrain_loss_and_grad(student, batch, cfg)
+        except ValueError as exc:  # losses.mss_loss and total_loss reject non-finite components
+            raise DataError(f"self-training diverged at step {step}: {exc}") from exc
         network.sgd_step(student, grads, lr, cfg.momentum, velocity)
         network.ema_update(teacher, student, cfg.ema_alpha)
         log.add(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from switchlab import pgm
+from switchlab import losses, pgm
 from switchlab.cli import main
 from switchlab.mss import MssConfig
 from switchlab.network import NetConfig
@@ -149,6 +149,31 @@ def test_unreadable_checkpoint_is_a_data_error(workdir, capsys):
         assert main(["train", "--config", cfg_path, "--init", str(ckpt), "--out", str(workdir / "st")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and message in err
+
+
+def test_diverged_pretraining_is_a_data_error(workdir, capsys, monkeypatch):
+    cfg_path = str(workdir / "config.json")
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    real = losses.pretrain_loss_grad
+    monkeypatch.setattr(losses, "pretrain_loss_grad", lambda *a: (float("nan"), real(*a)[1]))
+    capsys.readouterr()
+    assert main(["pretrain", "--config", cfg_path, "--out", str(workdir / "ckpt")]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err == "data error: pretraining diverged at step 0: loss nan"
+
+
+def test_diverged_self_training_is_a_data_error(workdir, capsys, monkeypatch):
+    cfg_path = str(workdir / "config.json")
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(["pretrain", "--config", cfg_path, "--out", str(workdir / "ckpt")]) == 0
+    real = losses.mixed_region_terms_grad
+    monkeypatch.setattr(losses, "mixed_region_terms_grad", lambda *a: (float("nan"), *real(*a)[1:]))
+    capsys.readouterr()
+    init = str(workdir / "ckpt" / "pretrain_student.bin")
+    assert main(["train", "--config", cfg_path, "--init", init, "--out", str(workdir / "st")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: self-training diverged at step 0: ")
+    assert "nan" in err[0]
 
 
 @pytest.mark.parametrize("manifest", ["{not json", '{"train": [{"labeled": true}]}', '{"val": 3}'])

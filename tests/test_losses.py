@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import infonce_loops
+from switchlab import losses
 from switchlab.grid import softmax_channels
 from switchlab.losses import (
     LossWeights,
@@ -334,6 +336,54 @@ def test_infonce_grad_matches_fd():
         hm[idx] -= eps
         fd = (infonce_contrastive(hp, h_r, 0.07) - infonce_contrastive(hm, h_r, 0.07)) / (2 * eps)
         assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-10)
+
+
+def _dense_infonce_grad(h, h_r, tau, include_positive):
+    """The whole (B, K, K) similarity matrix at once, in float64."""
+    h = np.asarray(h, dtype=np.float64)
+    h_r = np.asarray(h_r, dtype=np.float64)
+    b, _, k = h.shape
+    sims = np.einsum("bei,bej->bij", h, h_r) / tau
+    pos = np.einsum("bii->bi", sims).copy()
+    den = sims if include_positive else np.where(np.eye(k, dtype=bool), -np.inf, sims)
+    m = den.max(axis=2, keepdims=True)
+    expd = np.exp(den - m)
+    lse = m[:, :, 0] + np.log(expd.sum(axis=2))
+    p = expd / expd.sum(axis=2, keepdims=True)
+    mix = np.einsum("bij,bej->bei", p, h_r)
+    return float(-(pos - lse).sum() / (b * k)), (mix - h_r) / (b * k * tau)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("include_positive", [False, True])
+@pytest.mark.parametrize("k_of_rows", [lambda r: r - 1, lambda r: r, lambda r: 2 * r + 37],
+                         ids=["below_block", "one_block", "ragged_blocks"])
+def test_infonce_blocks_match_the_dense_formula(dtype, include_positive, k_of_rows):
+    rng = np.random.default_rng(12)
+    k = k_of_rows(losses._INFONCE_ROWS)
+    h, _ = l2_normalize_positions(rng.normal(size=(3, 8, k)))
+    h_r, _ = l2_normalize_positions(h + 0.5 * rng.normal(size=h.shape))
+    want_loss, want_grad = _dense_infonce_grad(h, h_r, 0.07, include_positive)
+    loss, grad = infonce_grad(h.astype(dtype), h_r.astype(dtype), 0.07, include_positive)
+    assert grad.dtype == dtype and grad.shape == h.shape
+    rtol = 1e-10 if dtype == np.float64 else 1e-4
+    assert loss == pytest.approx(want_loss, rel=rtol)
+    assert np.abs(grad - want_grad).max() <= rtol * np.abs(want_grad).max()
+
+
+def test_infonce_memory_stays_below_the_dense_similarity_matrix():
+    rng = np.random.default_rng(13)
+    b, k = 2, 2048
+    h, _ = l2_normalize_positions(rng.normal(size=(b, 16, k)))
+    h_r, _ = l2_normalize_positions(rng.normal(size=(b, 16, k)))
+    tracemalloc.start()
+    try:
+        infonce_grad(h, h_r, 0.07)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dense_bytes = b * k * k * 8
+    assert peak < dense_bytes / 4, f"peak {peak / 2**20:.1f} MiB, one dense array {dense_bytes / 2**20:.0f} MiB"
 
 
 def test_l2_normalize_and_backward_fd():

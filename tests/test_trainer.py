@@ -1,5 +1,8 @@
+import builtins
 import dataclasses
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from switchlab.trainer import (
     DataConfig,
     StepBatch,
     TrainConfig,
+    TrainLog,
     build_pretrain_batch,
     build_selftrain_batch,
     config_from_dict,
@@ -438,6 +442,53 @@ def test_evaluate_requires_ground_truth(tiny_data):
     params = network.init_params(tiny_config().net, np.random.default_rng(15))
     with pytest.raises(DataError):
         evaluate(params, tiny_data.unlabeled[:2])
+
+
+class _FailsOnSecondWrite:
+    """A file whose first write goes through and whose second fails, like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _write_log(path):
+    log = TrainLog()
+    for step in range(3):
+        log.add(phase="pretrain", step=step, loss=0.5)
+    log.write(path)
+
+
+def _write_checkpoint(path):
+    network.save_params(path, network.init_params(tiny_config().net, np.random.default_rng(7)))
+
+
+@pytest.mark.parametrize("write", [_write_log, _write_checkpoint], ids=["log", "checkpoint"])
+def test_interrupted_write_keeps_the_previous_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"previous contents")
+    real_open = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda *a, **k: _FailsOnSecondWrite(real_open(*a, **k)))
+    with pytest.raises(OSError, match="No space left"):
+        write(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == b"previous contents"
+    assert os.listdir(tmp_path) == ["out.bin"]
+    write(path)
+    assert path.read_bytes() != b"previous contents"
+    assert os.listdir(tmp_path) == ["out.bin"]
 
 
 def test_strategy_analysis_structure_and_direction():
