@@ -55,15 +55,23 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _run_logged(out, log_name, run_phase) -> trainer.PhaseResult:
+    """Run one training phase; its log is written to ``out`` even if the phase stops."""
+    log = trainer.TrainLog()
+    try:
+        return run_phase(log)
+    finally:
+        log.write(os.path.join(out, log_name))
+
+
 def _cmd_pretrain(args) -> int:
     cfg = trainer.load_config(args.config)
     _make_out_dir(args.out)
     data = synthdata.load_dataset(cfg.data.dir)
-    result = trainer.pretrain(cfg, data)
+    result = _run_logged(args.out, "pretrain_log.jsonl", lambda log: trainer.pretrain(cfg, data, log))
     network.save_params(os.path.join(args.out, "pretrain_student.bin"), result.student)
     if result.best is not None:
         network.save_params(os.path.join(args.out, "pretrain_student_best.bin"), result.best)
-    result.log.write(os.path.join(args.out, "pretrain_log.jsonl"))
     print(f"pretrained {cfg.pretrain_iters} iters; best val dice {result.best_val_dice}")
     return 0
 
@@ -73,16 +81,11 @@ def _cmd_train(args) -> int:
     _make_out_dir(args.out)
     data = synthdata.load_dataset(cfg.data.dir)
     init = network.load_params(args.init, cfg.net)
-    result = trainer.self_train(cfg, data, init)
+    result = _run_logged(args.out, "train_log.jsonl", lambda log: trainer.self_train(cfg, data, init, log))
     network.save_params(os.path.join(args.out, "student.bin"), result.student)
     network.save_params(os.path.join(args.out, "teacher.bin"), result.teacher)
     if result.best is not None:
         network.save_params(os.path.join(args.out, f"{cfg.eval_with}_best.bin"), result.best)
-    # velocity shares the parameter layout, so it uses the same binary format
-    network.save_params(
-        os.path.join(args.out, "velocity.bin"), network.SegNetParams(cfg.net, result.velocity)
-    )
-    result.log.write(os.path.join(args.out, "train_log.jsonl"))
     print(f"self-trained {cfg.selftrain_iters} iters; best val dice {result.best_val_dice}")
     return 0
 

@@ -7,3 +7,7 @@ class ConfigError(Exception):
 
 class DataError(Exception):
     """Missing, malformed, or insufficient dataset content."""
+
+
+class NonFiniteError(ValueError):
+    """A loss or a network output holds NaN or inf: the run has diverged."""

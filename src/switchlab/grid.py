@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 NUM_CLASSES = 2
 
 
@@ -23,13 +25,13 @@ def softmax_channels(logits: np.ndarray) -> np.ndarray:
     """Per-pixel softmax over the channel axis of an (N, C, H, W) array.
 
     Computed with max-subtraction so large logits do not overflow.
-    Raises ValueError on non-finite input.
+    Raises NonFiniteError (a ValueError) on non-finite input.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 4:
         raise ValueError(f"expected (N, C, H, W) logits, got shape {logits.shape}")
     if not np.all(np.isfinite(logits)):
-        raise ValueError("logits contain non-finite values")
+        raise NonFiniteError("logits contain non-finite values")
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)

@@ -493,4 +493,7 @@ def load_params(path, cfg: NetConfig) -> SegNetParams:
         raise DataError(f"{path}: checkpoint layout does not match the configured network")
     if len(raw) - head != 8 * count:
         raise DataError(f"{path}: truncated checkpoint ({len(raw) - head} of {8 * count} payload bytes)")
-    return SegNetParams(cfg, np.frombuffer(raw[head:], dtype="<f8").astype(np.float64))
+    vector = np.frombuffer(raw[head:], dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(vector)):
+        raise DataError(f"{path}: checkpoint holds non-finite parameters")
+    return SegNetParams(cfg, vector)

@@ -210,10 +210,14 @@ def make_dataset(
         )
     rng_split = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     labeled_idx = set(map(int, rng_split.choice(n_train, size=n_labeled, replace=False)))
+    return _partition(train, [idx in labeled_idx for idx in range(n_train)], val, test)
 
+
+def _partition(train: list, is_labeled: list, val: list, test: list) -> DatasetSplit:
+    """Labeled training items keep their masks; unlabeled ones lose them to the sealed store."""
     labeled, unlabeled, sealed = [], [], {}
-    for idx, item in enumerate(train):
-        if idx in labeled_idx:
+    for item, flag in zip(train, is_labeled):
+        if flag:
             labeled.append(item)
         else:
             unlabeled.append(Item(id=item.id, image=item.image, mask=None))
@@ -268,14 +272,7 @@ def load_dataset(root) -> DatasetSplit:
             raise DataError(f"dataset item {part}/{item_id} is missing files")
         return Item(id=item_id, image=pgm.read_pgm(img_path), mask=pgm.read_mask_pgm(msk_path))
 
-    labeled, unlabeled, sealed = [], [], {}
-    for entry in entries("train"):
-        item = load_item("train", entry["id"])
-        if entry.get("labeled", False):
-            labeled.append(item)
-        else:
-            unlabeled.append(Item(id=item.id, image=item.image, mask=None))
-            sealed[item.id] = item.mask
-    val = [load_item("val", e["id"]) for e in entries("val")]
-    test = [load_item("test", e["id"]) for e in entries("test")]
-    return DatasetSplit(labeled, unlabeled, val, test, sealed)
+    parts = {part: entries(part) for part in ("train", "val", "test")}
+    items = {part: [load_item(part, e["id"]) for e in listed] for part, listed in parts.items()}
+    labeled = [e.get("labeled", False) for e in parts["train"]]
+    return _partition(items["train"], labeled, items["val"], items["test"])

@@ -12,6 +12,9 @@ region-weighted mixed loss plus contrastive and consistency terms. The
 mixtures and their twins go through the student as one stacked batch: one
 forward and one backward per step. The teacher follows the student by EMA.
 
+Both phases run through one step loop, ``_run_phase``, which also holds the
+one divergence rule (non-finite loss or logits stop the run with a DataError).
+
 Everything is a pure function of (config, seed): identical runs produce
 bitwise-identical logs and checkpoints.
 """
@@ -27,7 +30,7 @@ import numpy as np
 
 from . import fds, losses, mss, network
 from .augment import AugmentPolicy, apply_augmentations, sample_augmentations
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NonFiniteError
 from .fds import FdsConfig
 from .grid import argmax_channels, softmax_channels
 from .losses import LossWeights
@@ -204,9 +207,9 @@ class StepBatch:
     mix_lb_freq: Optional[np.ndarray]
 
 
-def _draw(items, size: int, rng: np.random.Generator):
+def _draw(items, size: int, rng: np.random.Generator, what: str):
     if not items:
-        raise DataError("cannot draw a batch from an empty item pool")
+        raise DataError(f"the dataset has no {what} items to draw a batch from")
     idx = rng.choice(len(items), size=size, replace=len(items) < size)
     return [items[int(i)] for i in idx]
 
@@ -220,8 +223,6 @@ def _stack_masks(items) -> np.ndarray:
 
 
 def _augment_batch(images, labels, policy: AugmentPolicy, rng) -> tuple[np.ndarray, np.ndarray]:
-    if not (policy.use_weak or policy.use_strong) or policy.max_ops == 0:
-        return images, labels
     out_i = np.empty_like(images)
     out_l = np.empty_like(labels)
     for k in range(images.shape[0]):
@@ -240,10 +241,8 @@ def build_selftrain_batch(
     cfg: TrainConfig, data: DatasetSplit, teacher: SegNetParams, rng: np.random.Generator
 ) -> StepBatch:
     """Draw, pseudo-label, augment, switch, and frequency-switch one step's data."""
-    if not data.unlabeled:
-        raise DataError("self-training requires unlabeled items")
-    labeled = _draw(data.labeled, cfg.labeled_batch, rng)
-    unlabeled = _draw(data.unlabeled, cfg.unlabeled_batch, rng)
+    labeled = _draw(data.labeled, cfg.labeled_batch, rng, "labeled")
+    unlabeled = _draw(data.unlabeled, cfg.unlabeled_batch, rng, "unlabeled")
 
     # teacher sees the raw unlabeled images; geometry applied afterwards to
     # image and pseudo label together keeps them aligned
@@ -372,9 +371,7 @@ def build_pretrain_batch(
     cfg: TrainConfig, data: DatasetSplit, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labeled-only switched pairs: both mixing directions with composed labels."""
-    if not data.labeled:
-        raise DataError("pretraining requires labeled items")
-    labeled = _draw(data.labeled, cfg.labeled_batch, rng)
+    labeled = _draw(data.labeled, cfg.labeled_batch, rng, "labeled")
     images, labels = _augment_batch(_stack_images(labeled), _stack_masks(labeled), cfg.augment, rng)
     a, b = np.split(images, 2)
     ya, yb = np.split(labels, 2)
@@ -390,6 +387,8 @@ def pretrain_loss_and_grad(
     cache: dict = {}
     out = network.forward(student, images, cache)
     loss, dlogits = losses.pretrain_loss_grad(out.logits, labels)
+    if not np.isfinite(loss):
+        raise NonFiniteError(f"loss {loss}")
     grads = network.backward(student, cache, dlogits)
     return loss, grads
 
@@ -402,80 +401,70 @@ def pretrain_loss_and_grad(
 class PhaseResult:
     student: SegNetParams
     teacher: Optional[SegNetParams]
-    velocity: np.ndarray
     log: TrainLog
     best: Optional[SegNetParams]       # best-validation copy of the eval target
     best_val_dice: Optional[float]
 
 
-def _maybe_eval(cfg, data, params, log, phase, step, best, best_dice, name):
-    if not data.val:
-        return best, best_dice
-    report = evaluate(params, data.val, batch_size=max(cfg.labeled_batch, 2))
-    agg = report.aggregate()
-    log.add(phase=phase, step=step, event="eval", split="val", model=name, **agg)
-    if best_dice is None or agg["dice_mean"] > best_dice:
-        return params.copy(), agg["dice_mean"]
-    return best, best_dice
+def _run_phase(cfg, data, phase, iters, student, teacher, step_fn, log) -> PhaseResult:
+    """Cosine LR, ``step_fn`` (batch, loss and gradient), SGD with momentum, the
+    teacher's EMA if there is a teacher, one log record, and every ``eval_every``
+    steps a validation eval that keeps the best copy. A non-finite loss or logits
+    in a step raise a DataError; that error replaces numpy's float warnings."""
+    log = TrainLog() if log is None else log
+    velocity = np.zeros_like(student.vector)
+    model = "student" if teacher is None else cfg.eval_with
+    target = teacher if model == "teacher" else student
+    best, best_dice = None, None
+    try:
+        with np.errstate(all="ignore"):
+            for step in range(iters):
+                lr = network.cosine_lr(step, iters, cfg.lr0)
+                record, grads = step_fn()
+                network.sgd_step(student, grads, lr, cfg.momentum, velocity)
+                if teacher is not None:
+                    network.ema_update(teacher, student, cfg.ema_alpha)
+                log.add(phase=phase, step=step, lr=lr, **record)
+                if data.val and ((step + 1) % cfg.eval_every == 0 or step + 1 == iters):
+                    agg = evaluate(target, data.val, batch_size=cfg.labeled_batch).aggregate()
+                    log.add(phase=phase, step=step, event="eval", split="val", model=model, **agg)
+                    if best_dice is None or agg["dice_mean"] > best_dice:
+                        best, best_dice = target.copy(), agg["dice_mean"]
+    except NonFiniteError as exc:
+        label = "pretraining" if phase == "pretrain" else "self-training"
+        raise DataError(f"{label} diverged at step {step}: {exc}") from exc
+    return PhaseResult(student, teacher, log, best, best_dice)
 
 
-def pretrain(cfg: TrainConfig, data: DatasetSplit) -> PhaseResult:
-    """Supervised phase on switched labeled pairs; the teacher stays untouched."""
+def pretrain(cfg: TrainConfig, data: DatasetSplit, log: Optional[TrainLog] = None) -> PhaseResult:
+    """Supervised phase on switched labeled pairs, logged to ``log`` (a new one if None)."""
     cfg.validate()
     rng_init = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(10,)))
     student = network.init_params(cfg.net, rng_init)
-    velocity = np.zeros_like(student.vector)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(11,)))
-    log = TrainLog()
-    best, best_dice = None, None
-    for step in range(cfg.pretrain_iters):
-        lr = network.cosine_lr(step, cfg.pretrain_iters, cfg.lr0)
-        images, labels = build_pretrain_batch(cfg, data, rng)
-        loss, grads = pretrain_loss_and_grad(student, images, labels)
-        if not np.isfinite(loss):
-            raise DataError(f"pretraining diverged at step {step}: loss {loss}")
-        network.sgd_step(student, grads, lr, cfg.momentum, velocity)
-        log.add(phase="pretrain", step=step, lr=lr, loss=loss)
-        if (step + 1) % cfg.eval_every == 0 or step + 1 == cfg.pretrain_iters:
-            best, best_dice = _maybe_eval(
-                cfg, data, student, log, "pretrain", step, best, best_dice, "student"
-            )
-    return PhaseResult(student, None, velocity, log, best, best_dice)
+
+    def step():
+        loss, grads = pretrain_loss_and_grad(student, *build_pretrain_batch(cfg, data, rng))
+        return {"loss": loss}, grads
+
+    return _run_phase(cfg, data, "pretrain", cfg.pretrain_iters, student, None, step, log)
 
 
-def self_train(cfg: TrainConfig, data: DatasetSplit, init: SegNetParams) -> PhaseResult:
-    """Semi-supervised phase; the teacher starts as a copy of the student."""
+def self_train(
+    cfg: TrainConfig, data: DatasetSplit, init: SegNetParams, log: Optional[TrainLog] = None
+) -> PhaseResult:
+    """Semi-supervised phase; the teacher starts as a copy of the student. ``log`` as in pretrain."""
     cfg.validate()
     student = init.copy()
     teacher = init.copy()
-    velocity = np.zeros_like(student.vector)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(12,)))
-    log = TrainLog()
-    best, best_dice = None, None
-    for step in range(cfg.selftrain_iters):
-        lr = network.cosine_lr(step, cfg.selftrain_iters, cfg.lr0)
-        batch = build_selftrain_batch(cfg, data, teacher, rng)
-        try:
-            comp, grads = selftrain_loss_and_grad(student, batch, cfg)
-        except ValueError as exc:  # losses.mss_loss and total_loss reject non-finite components
-            raise DataError(f"self-training diverged at step {step}: {exc}") from exc
-        network.sgd_step(student, grads, lr, cfg.momentum, velocity)
-        network.ema_update(teacher, student, cfg.ema_alpha)
-        log.add(
-            phase="selftrain",
-            step=step,
-            lr=lr,
-            mss=comp["mss"],
-            cont=comp["contrastive"],
-            consist=comp["consistency"],
-            total=comp["total"],
-        )
-        if (step + 1) % cfg.eval_every == 0 or step + 1 == cfg.selftrain_iters:
-            target = teacher if cfg.eval_with == "teacher" else student
-            best, best_dice = _maybe_eval(
-                cfg, data, target, log, "selftrain", step, best, best_dice, cfg.eval_with
-            )
-    return PhaseResult(student, teacher, velocity, log, best, best_dice)
+
+    def step():
+        comp, grads = selftrain_loss_and_grad(student, build_selftrain_batch(cfg, data, teacher, rng), cfg)
+        record = dict(mss=comp["mss"], cont=comp["contrastive"], consist=comp["consistency"], total=comp["total"])
+        return record, grads
+
+    return _run_phase(cfg, data, "selftrain", cfg.selftrain_iters, student, teacher, step, log)
 
 
 def evaluate(params: SegNetParams, items, batch_size: int = 8, use_lcc: bool = False) -> MetricReport:

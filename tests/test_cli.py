@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from switchlab import losses, pgm
@@ -151,6 +155,22 @@ def test_unreadable_checkpoint_is_a_data_error(workdir, capsys):
         assert err.startswith("data error:") and message in err
 
 
+def test_non_finite_checkpoint_is_a_data_error(workdir, capsys):
+    cfg_path = str(workdir / "config.json")
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    assert main(["pretrain", "--config", cfg_path, "--out", str(workdir / "ckpt")]) == 0
+    raw = bytearray((workdir / "ckpt" / "pretrain_student.bin").read_bytes())
+    raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+    nan = workdir / "nan.bin"
+    nan.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg_path, "--ckpt", str(nan), "--out", str(workdir / "report")]) == 3
+    assert _one_error_line(capsys, "data error:")
+    assert main(["train", "--config", cfg_path, "--init", str(nan), "--out", str(workdir / "st")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0] == f"data error: {nan}: checkpoint holds non-finite parameters"
+
+
 def test_diverged_pretraining_is_a_data_error(workdir, capsys, monkeypatch):
     cfg_path = str(workdir / "config.json")
     assert main(["gen-data", "--config", cfg_path]) == 0
@@ -193,3 +213,57 @@ def test_uncreatable_out_dir_is_a_config_error_before_any_work(workdir, capsys, 
     out = workdir / "file" / "out"
     assert main([command[0], "--config", str(workdir / "config.json"), *command[1:], "--out", str(out)]) == 2
     assert _one_error_line(capsys, "config error:")
+
+
+def test_stopped_pretraining_keeps_the_log_of_the_steps_before(workdir, capsys, monkeypatch):
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["pretrain_iters"] = 6
+    (workdir / "six.json").write_text(json.dumps(cfg))
+    assert main(["gen-data", "--config", str(workdir / "six.json")]) == 0
+    real = losses.pretrain_loss_grad
+    calls = []
+
+    def nan_on_fourth_call(*args):
+        calls.append(1)
+        loss, grad = real(*args)
+        return (float("nan") if len(calls) == 4 else loss), grad
+
+    monkeypatch.setattr(losses, "pretrain_loss_grad", nan_on_fourth_call)
+    capsys.readouterr()
+    assert main(["pretrain", "--config", str(workdir / "six.json"), "--out", str(workdir / "ckpt")]) == 3
+    assert capsys.readouterr().err.strip() == "data error: pretraining diverged at step 3: loss nan"
+    records = [json.loads(line) for line in (workdir / "ckpt" / "pretrain_log.jsonl").read_text().splitlines()]
+    assert [r["step"] for r in records if "loss" in r] == [0, 1, 2]
+    assert [r["step"] for r in records if r.get("event") == "eval"] == [1]
+    assert not (workdir / "ckpt" / "pretrain_student.bin").exists()
+
+
+def test_diverging_pretraining_prints_one_line_and_keeps_its_log(tmp_path):
+    # lr0 1e4 sends the logits to inf at step 3. numpy's overflow warnings reach
+    # the real stderr only outside pytest's warning capture, so the command runs
+    # in its own process.
+    synth = SynthConfig(height=32, width=32, count=60, roi_fraction=(0.04, 0.1), seed=1)
+    cfg = TrainConfig(
+        seed=1,
+        lr0=1e4,
+        pretrain_iters=30,
+        labeled_batch=4,
+        unlabeled_batch=4,
+        net=NetConfig(height=32, width=32, widths=(4, 8), embed_dim=4, compute_dtype="float32"),
+        mss=MssConfig(1, 1, 16, 4),
+        data=DataConfig(synth=synth, labeled_ratio=0.2, dir=str(tmp_path / "data")),
+    )
+    cfg_path = str(tmp_path / "config.json")
+    save_config(cfg_path, cfg)
+    assert main(["gen-data", "--config", cfg_path]) == 0
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "ckpt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "switchlab.cli", "pretrain", "--config", cfg_path, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["data error: pretraining diverged at step 3: logits contain non-finite values"]
+    steps = [json.loads(line)["step"] for line in (out / "pretrain_log.jsonl").read_text().splitlines()]
+    assert steps == [0, 1, 2]

@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +387,27 @@ def test_self_train_determinism_and_log_structure(tiny_data):
     for r in step_records:
         assert {"phase", "step", "lr", "mss", "cont", "consist", "total"} <= set(r)
         json.dumps(r)
+
+
+def test_diverging_self_training_stops_with_a_data_error_and_keeps_its_log():
+    synth = SynthConfig(height=32, width=32, count=60, roi_fraction=(0.04, 0.1), seed=1)
+    cfg = tiny_config(
+        seed=1,
+        pretrain_iters=30,
+        selftrain_iters=30,
+        eval_every=1000,
+        net=NetConfig(height=32, width=32, widths=(4, 8), embed_dim=4, compute_dtype="float32"),
+        data=DataConfig(synth=synth, labeled_ratio=0.2),
+    )
+    data = make_dataset(cfg.data.synth, cfg.data.labeled_ratio, cfg.data.split_ratios, seed=cfg.seed)
+    init = pretrain(cfg, data).student
+    log = TrainLog()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataError, match="^self-training diverged at step 2: logits contain non-finite values$"):
+            self_train(dataclasses.replace(cfg, lr0=1e3), data, init, log)
+    assert [r["step"] for r in log.records] == [0, 1]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_training_never_reads_sealed_truth(tiny_data):
