@@ -17,7 +17,14 @@ and binary checkpointing straightforward. Forward passes are deterministic;
 backward passes accumulate into a gradient vector aligned with the layout.
 
 Public tensors are channels-first; internally activations are kept
-channels-last so the im2col buffers feed the matmuls without transposes.
+channels-last, so a (pixels, channels) view of an activation feeds a
+matmul without a transpose.
+
+A 3x3 convolution's forward runs nine GEMMs straight on the edge-padded
+input, with no window copies: flattened to rows, each tap is one
+contiguous slice of it. The images go through in chunks sized to stay in
+cache. The backward still copies each tap's window, for its weight
+gradient; see the comment on the primitive layers.
 """
 
 from __future__ import annotations
@@ -157,9 +164,25 @@ class ForwardOutput(NamedTuple):
 # ---------------------------------------------------------------------------
 # primitive layers (channels-last activations)
 #
-# 3x3 convolutions run as nine GEMM-accumulates over shifted views of the
-# padded input: cheaper in memory traffic than a materialized im2col matrix,
-# and the padded input doubles as the backward cache.
+# 3x3 convolutions run as nine GEMM-accumulates, one per tap, over the
+# edge-padded input, which doubles as the backward cache. The forward reads
+# each tap without a copy. Flatten an image's padded input to rows of C
+# values: output pixel (i, j) is at row p = i*(W+2) + j, and its tap (di, dj)
+# is row p + di*(W+2) + dj. So each tap is one contiguous slice and one GEMM.
+# The product has W+2 rows per image row; the two wrap-around rows are
+# dropped as it is added. Whole images go through in chunks of at most
+# _CONV_CHUNK_BYTES of padded input, and of one tap's product, so the
+# buffers stay in cache: at 256x256 float64 that is one image per chunk. Each
+# output element still sums the bias, then the nine taps in order, each tap a
+# C-length dot product, so its bits do not depend on the chunking.
+#
+# The backward keeps one window copy per tap: the weight gradient's GEMM
+# sums over every output pixel, and running it over the flat rows would
+# change that summation's order and so the gradient's bits.
+
+
+# bytes of padded input, and of one tap's product, per chunk of the 3x3 forward
+_CONV_CHUNK_BYTES = 4 << 20
 
 
 def _pad_edge(x: np.ndarray) -> np.ndarray:
@@ -178,21 +201,30 @@ def _conv3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.
     f = w.shape[0]
     dtype = x.dtype
     xp = _pad_edge(x)
+    wp = wd + 2
+    rows = (h + 2) * wp  # padded pixels per image
+    # whole images per chunk: its padded input and its tap product fit the budget
+    step = max(1, _CONV_CHUNK_BYTES // (rows * max(c, f) * dtype.itemsize))
     wk = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=dtype)  # (3, 3, C, F)
-    out = np.empty((n * h * wd, f), dtype=dtype)
+    out = np.empty((n, h, wd, f), dtype=dtype)
     out[:] = b.astype(dtype)
-    buf = np.empty((n, h, wd, c), dtype=dtype)
-    tmp = np.empty((n * h * wd, f), dtype=dtype)
-    bufm = buf.reshape(n * h * wd, c)
-    for di in range(3):
-        for dj in range(3):
-            np.copyto(buf, xp[:, di : di + h, dj : dj + wd, :])
-            np.matmul(bufm, wk[di, dj], out=tmp)
-            out += tmp
-    return out.reshape(n, h, wd, f), xp
+    tmp = np.empty((min(step, n) * rows, f), dtype=dtype)
+    for k0 in range(0, n, step):
+        k = min(step, n - k0)
+        flat = xp[k0 : k0 + k].reshape(k * rows, c)
+        # the last real pixel is row m - 1; its (2, 2) tap is the chunk's last row
+        m = k * rows - 2 * wp - 2
+        acc = out[k0 : k0 + k]
+        taps = tmp[: k * rows].reshape(k, h + 2, wp, f)[:, :h, :wd]  # drops the wrap-around rows
+        for di in range(3):
+            for dj in range(3):
+                s = di * wp + dj
+                np.matmul(flat[s : s + m], wk[di, dj], out=tmp[:m])
+                acc += taps
+    return out, xp
 
 
-def _conv3_backward(xp, w, dout):
+def _conv3_backward(xp, w, dout, input_grad: bool = True):
     n, hp, wp, c = xp.shape
     h, wd = hp - 2, wp - 2
     f = w.shape[0]
@@ -200,18 +232,21 @@ def _conv3_backward(xp, w, dout):
     dmat = np.ascontiguousarray(dout.reshape(n * h * wd, f))
     wk = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=dtype)
     dwk = np.empty((3, 3, c, f), dtype=dtype)
-    dxp = np.zeros_like(xp)
+    dxp = np.zeros_like(xp) if input_grad else None
     buf = np.empty((n, h, wd, c), dtype=dtype)
     bufm = buf.reshape(n * h * wd, c)
     for di in range(3):
         for dj in range(3):
             np.copyto(buf, xp[:, di : di + h, dj : dj + wd, :])
             np.matmul(bufm.T, dmat, out=dwk[di, dj])
-            # the window is spent once dwk has it; reuse its buffer for dx
-            np.matmul(dmat, wk[di, dj].T, out=bufm)
-            dxp[:, di : di + h, dj : dj + wd, :] += buf
+            if input_grad:
+                # the window is spent once dwk has it; reuse its buffer for dx
+                np.matmul(dmat, wk[di, dj].T, out=bufm)
+                dxp[:, di : di + h, dj : dj + wd, :] += buf
     dw = dwk.transpose(3, 2, 0, 1)
     db = dmat.sum(axis=0)
+    if not input_grad:
+        return None, dw, db
     # fold the edge-replicated borders back (reverse of _pad_edge)
     dxp[:, :, 1, :] += dxp[:, :, 0, :]
     dxp[:, :, -2, :] += dxp[:, :, -1, :]
@@ -297,10 +332,10 @@ def _conv_relu(x, params: SegNetParams, name: str, cache: dict | None):
     return out
 
 
-def _conv_relu_backward(params, grads, name, cache, dout):
+def _conv_relu_backward(params, grads, name, cache, dout, input_grad: bool = True):
     xp, relu_mask = cache.pop(name)
     dpre = dout * relu_mask
-    dx, dw, db = _conv3_backward(xp, params.view(f"{name}.w"), dpre)
+    dx, dw, db = _conv3_backward(xp, params.view(f"{name}.w"), dpre, input_grad)
     grads.view(f"{name}.w")[...] += dw
     grads.view(f"{name}.b")[...] += db
     return dx
@@ -376,7 +411,8 @@ def backward(
             dh = _avgpool2_backward(dh)
             dh = dh + dskips[s]
         dh = _conv_relu_backward(params, grads, f"enc{s}.conv2", cache, dh)
-        dh = _conv_relu_backward(params, grads, f"enc{s}.conv1", cache, dh)
+        # the first conv's input is the image batch: nothing reads its gradient
+        dh = _conv_relu_backward(params, grads, f"enc{s}.conv1", cache, dh, input_grad=s > 0)
     return grads
 
 

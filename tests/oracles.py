@@ -167,3 +167,28 @@ def infonce_loops(h: np.ndarray, h_r: np.ndarray, tau: float, include_positive: 
                 den += math.exp(s)
             total += -(pos - math.log(den))
     return total / (b * k)
+
+
+def conv3_edge_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Same-size 3x3 convolution by direct sums, borders edge-replicated.
+
+    ``x`` is a channels-last (N, H, W, C) batch, ``w`` is (F, C, 3, 3) and
+    ``b`` is (F,). An edge-replicated border is a clamped index, so no padded
+    copy is made. Returns float64 (N, H, W, F).
+    """
+    n, h, wd, c = x.shape
+    f = w.shape[0]
+    out = np.zeros((n, h, wd, f))
+    for k in range(n):
+        for i in range(h):
+            for j in range(wd):
+                for o in range(f):
+                    acc = float(b[o])
+                    for di in range(3):
+                        y = min(max(i + di - 1, 0), h - 1)
+                        for dj in range(3):
+                            xx = min(max(j + dj - 1, 0), wd - 1)
+                            for ci in range(c):
+                                acc += float(x[k, y, xx, ci]) * float(w[o, ci, di, dj])
+                    out[k, i, j, o] = acc
+    return out

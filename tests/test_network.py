@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from oracles import conv3_edge_loops
 
+from switchlab import network
 from switchlab.errors import DataError
 from switchlab.network import (
     NetConfig,
@@ -229,3 +231,36 @@ def test_maxpool_backward_keeps_the_gradient_dtype(dtype):
     # the upstream gradient lands on each window's maximum only
     assert np.array_equal(dx.reshape(2, 2, 2, 2, 2, 3).sum(axis=(2, 4)), np.ones_like(out))
     assert np.sort(x[dx == 1]).tolist() == np.sort(out.ravel()).tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_conv3_matches_direct_sums_across_chunks(monkeypatch, dtype, channels):
+    rng = np.random.default_rng(10)
+    n, h, wd, f = 5, 4, 7, 2  # a non-square raster
+    x = rng.normal(size=(n, h, wd, channels)).astype(dtype)
+    w = rng.normal(size=(f, channels, 3, 3))
+    b = rng.normal(size=f)
+    one_chunk, _ = network._conv3(x, w, b)
+    # two images per chunk: chunks of 2, 2 and a partial 1
+    per_image = (h + 2) * (wd + 2) * max(channels, f) * np.dtype(dtype).itemsize
+    monkeypatch.setattr(network, "_CONV_CHUNK_BYTES", 2 * per_image)
+    out, xp = network._conv3(x, w, b)
+    assert out.dtype == dtype and out.flags.c_contiguous and out.shape == (n, h, wd, f)
+    assert np.array_equal(xp[:, 1:-1, 1:-1], x)
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    np.testing.assert_allclose(out, conv3_edge_loops(x, w, b), rtol=tol, atol=tol)
+    # chunking regroups whole images only, so every output bit stays the same
+    assert out.tobytes() == one_chunk.tobytes()
+
+
+def test_conv3_backward_without_input_gradient_keeps_the_weight_gradient():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(3, 5, 6, 2))
+    w = rng.normal(size=(4, 2, 3, 3))
+    _, xp = network._conv3(x, w, np.zeros(4))
+    dout = rng.normal(size=(3, 5, 6, 4))
+    dx, dw, db = network._conv3_backward(xp, w, dout)
+    none, dw_only, db_only = network._conv3_backward(xp, w, dout, input_grad=False)
+    assert dx.shape == x.shape and none is None
+    assert np.array_equal(dw, dw_only) and np.array_equal(db, db_only)
