@@ -21,6 +21,8 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage
 
+from .errors import ConfigError
+
 WEAK_KINDS = ("resize_crop", "hflip", "vflip")
 STRONG_KINDS = (
     "autocontrast",
@@ -45,9 +47,9 @@ class AugmentPolicy:
     use_strong: bool = True
     max_ops: int = 3
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_ops < 0:
-            raise ValueError("max_ops must be non-negative")
+            raise ConfigError("max_ops must be non-negative")
 
 
 def sample_augmentations(policy: AugmentPolicy, rng: np.random.Generator) -> list[AugmentationOp]:
@@ -56,7 +58,6 @@ def sample_augmentations(policy: AugmentPolicy, rng: np.random.Generator) -> lis
     Kinds come uniformly from the categories enabled by the policy and each
     operation's parameters are uniform over its catalog range.
     """
-    policy.validate()
     pool: list[str] = []
     if policy.use_weak:
         pool.extend(WEAK_KINDS)

@@ -35,17 +35,18 @@ def _cmd_gen_data(args) -> int:
     cfg = trainer.load_config(args.config)
     root = args.out or cfg.data.dir
     _make_out_dir(root)
-    split = synthdata.make_dataset(
-        cfg.data.synth, cfg.data.labeled_ratio, cfg.data.split_ratios, seed=cfg.seed
-    )
+    split = synthdata.make_dataset(cfg.data.synth, cfg.data.labeled_ratio, cfg.data.split_ratios)
     synthdata.save_dataset(split, root)
     counts = {name: len(ids) for name, ids in split.id_sets().items()}
     print(f"wrote dataset to {root}: {counts}")
     if args.fds_demo:
+        # the first labeled image with the first val image, or with the next image that exists
+        pool = split.labeled[:1] + split.val + split.test + split.unlabeled + split.labeled[1:]
+        if len(pool) < 2:
+            raise DataError("the frequency-switch demo needs at least two images; the dataset has one")
         demo_dir = os.path.join(root, "fds_demo")
         _make_out_dir(demo_dir)
-        a = split.labeled[0].image if split.labeled else split.val[0].image
-        b = split.val[0].image
+        a, b = pool[0].image, pool[1].image
         a_r, b_r = fds.fds_pair(a, b, cfg.fds)
         pgm.write_pgm(os.path.join(demo_dir, "pair_a_before.pgm"), a)
         pgm.write_pgm(os.path.join(demo_dir, "pair_b_before.pgm"), b)
@@ -53,6 +54,21 @@ def _cmd_gen_data(args) -> int:
         pgm.write_pgm(os.path.join(demo_dir, "pair_b_after.pgm"), np.clip(b_r, 0, 1))
         print(f"wrote frequency-switch demo pairs to {demo_dir}")
     return 0
+
+
+def _load_run(args) -> tuple[trainer.TrainConfig, synthdata.DatasetSplit]:
+    """Config, output directory and dataset of a pretrain, train or eval command;
+    every image and mask must have the network's raster."""
+    cfg = trainer.load_config(args.config)
+    _make_out_dir(args.out)
+    data = synthdata.load_dataset(cfg.data.dir)
+    h, w = cfg.net.height, cfg.net.width
+    for item in data.labeled + data.unlabeled + data.val + data.test:
+        for array in (item.image, item.mask):
+            if array is not None and array.shape != (h, w):
+                shape = "x".join(map(str, array.shape))
+                raise DataError(f"dataset {cfg.data.dir}: item {item.id} is {shape}, the network takes {h}x{w}")
+    return cfg, data
 
 
 def _run_logged(out, log_name, run_phase) -> trainer.PhaseResult:
@@ -65,9 +81,7 @@ def _run_logged(out, log_name, run_phase) -> trainer.PhaseResult:
 
 
 def _cmd_pretrain(args) -> int:
-    cfg = trainer.load_config(args.config)
-    _make_out_dir(args.out)
-    data = synthdata.load_dataset(cfg.data.dir)
+    cfg, data = _load_run(args)
     result = _run_logged(args.out, "pretrain_log.jsonl", lambda log: trainer.pretrain(cfg, data, log))
     network.save_params(os.path.join(args.out, "pretrain_student.bin"), result.student)
     if result.best is not None:
@@ -77,9 +91,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = trainer.load_config(args.config)
-    _make_out_dir(args.out)
-    data = synthdata.load_dataset(cfg.data.dir)
+    cfg, data = _load_run(args)
     init = network.load_params(args.init, cfg.net)
     result = _run_logged(args.out, "train_log.jsonl", lambda log: trainer.self_train(cfg, data, init, log))
     network.save_params(os.path.join(args.out, "student.bin"), result.student)
@@ -91,13 +103,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    cfg = trainer.load_config(args.config)
     if args.split not in ("val", "test"):
         raise ConfigError(f"--split must be 'val' or 'test', got {args.split!r}")
-    _make_out_dir(args.out)
-    data = synthdata.load_dataset(cfg.data.dir)
+    cfg, data = _load_run(args)
+    items = getattr(data, args.split)
+    if not items:
+        raise DataError(f"dataset {cfg.data.dir} has no {args.split} items to evaluate")
     params = network.load_params(args.ckpt, cfg.net)
-    report = trainer.evaluate(params, getattr(data, args.split), use_lcc=args.lcc)
+    report = trainer.evaluate(params, items, use_lcc=args.lcc)
     report.write_csv(os.path.join(args.out, f"metrics_{args.split}.csv"))
     agg = report.aggregate()
     with open(os.path.join(args.out, f"metrics_{args.split}.json"), "w", encoding="ascii") as fh:

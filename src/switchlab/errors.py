@@ -1,7 +1,7 @@
 """Exceptions that map to CLI exit codes (config -> 2, data -> 3)."""
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid configuration value or malformed config document."""
 
 

@@ -26,6 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ConfigError
+
 log = logging.getLogger(__name__)
 
 
@@ -33,9 +35,9 @@ log = logging.getLogger(__name__)
 class FdsConfig:
     area_ratio: float = 0.0175  # fraction of each image dimension forming the region
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.area_ratio < 1.0:
-            raise ValueError(f"area_ratio must be in (0, 1), got {self.area_ratio}")
+            raise ConfigError(f"area_ratio must be in (0, 1), got {self.area_ratio}")
 
 
 class AmplitudePhase(NamedTuple):
@@ -111,7 +113,6 @@ def fds_pair(x: np.ndarray, u: np.ndarray, cfg: FdsConfig) -> tuple[np.ndarray, 
     u = np.asarray(u, dtype=np.float64)
     if x.shape != u.shape or x.ndim not in (2, 3):
         raise ValueError(f"expected two (H, W) or (N, H, W) arrays of one shape, got {x.shape} and {u.shape}")
-    cfg.validate()
     region = low_freq_region_mask(x.shape[-2], x.shape[-1], cfg.area_ratio)
     amp_x, phase_x = amplitude_phase(fft2_shifted(x))
     amp_u, phase_u = amplitude_phase(fft2_shifted(u))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import ConfigError, NonFiniteError
 from .grid import softmax_channels
 
 _DICE_EPS = 1e-5  # smooths the Dice ratio; an empty prediction on an empty label scores 0
@@ -37,12 +37,12 @@ class LossWeights:
     temperature: float = 0.07
     include_positive_in_denominator: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("base_weight", "patch_weight", "lambda_contrastive", "lambda_consistency"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+                raise ConfigError(f"{name} must be non-negative")
         if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+            raise ConfigError("temperature must be positive")
 
 
 def _batched(arr: np.ndarray, ndim: int) -> tuple[np.ndarray, bool]:

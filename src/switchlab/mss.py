@@ -17,6 +17,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class MssConfig:
@@ -25,16 +27,19 @@ class MssConfig:
     coarse_size: int = 128
     fine_size: int = 32
 
-    def validate(self, h: int, w: int) -> None:
+    def __post_init__(self) -> None:
         if self.coarse_patches < 0 or self.fine_patches < 0:
-            raise ValueError("patch counts must be non-negative")
+            raise ConfigError("patch counts must be non-negative")
         if self.coarse_patches + self.fine_patches < 1:
-            raise ValueError("at least one patch is required")
+            raise ConfigError("at least one patch is required")
+        if self.coarse_size < 1 or self.fine_size < 1:
+            raise ConfigError("patch sizes must be positive")
+
+    def validate(self, h: int, w: int) -> None:
+        """Check that every patch fits an ``h`` x ``w`` raster."""
         for size in (self.coarse_size, self.fine_size):
-            if size < 1:
-                raise ValueError("patch sizes must be positive")
             if size > h or size > w:
-                raise ValueError(f"patch size {size} exceeds image size {h}x{w}")
+                raise ConfigError(f"patch size {size} exceeds image size {h}x{w}")
 
 
 def generate_multiscale_mask(h: int, w: int, cfg: MssConfig, rng: np.random.Generator) -> np.ndarray:

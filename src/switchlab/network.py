@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .grid import NUM_CLASSES
 
 CHECKPOINT_MAGIC = b"SWCH"
@@ -53,16 +53,16 @@ class NetConfig:
     embed_dim: int = 16
     compute_dtype: str = "float64"  # forward/backward arithmetic; parameters stay float64
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if len(self.widths) < 2:
-            raise ValueError("need at least two stages")
-        if any(c < 1 for c in self.widths):
-            raise ValueError("channel widths must be positive")
+            raise ConfigError("need at least two stages")
+        if any(c < 1 for c in (*self.widths, self.embed_dim)):
+            raise ConfigError("channel widths and embed_dim must be positive")
         if self.compute_dtype not in ("float64", "float32"):
-            raise ValueError(f"compute_dtype must be float64 or float32, got {self.compute_dtype}")
+            raise ConfigError(f"compute_dtype must be float64 or float32, got {self.compute_dtype}")
         div = max(2 ** len(self.widths), 4)
         if self.height % div or self.width % div:
-            raise ValueError(f"input size {self.height}x{self.width} must be divisible by {div}")
+            raise ConfigError(f"input size {self.height}x{self.width} must be divisible by {div}")
 
     @property
     def dtype(self) -> np.dtype:
@@ -71,7 +71,6 @@ class NetConfig:
 
 def build_layout(cfg: NetConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Ordered (name, shape) pairs defining the flat parameter vector."""
-    cfg.validate()
     ws = cfg.widths
     stages = len(ws)
     layout: list[tuple[str, tuple[int, ...]]] = []
@@ -112,7 +111,6 @@ class SegNetParams:
     """
 
     def __init__(self, cfg: NetConfig, vector: np.ndarray | None = None):
-        cfg.validate()
         self.cfg = cfg
         self.layout = build_layout(cfg)
         self.size = sum(int(np.prod(shape)) for _, shape in self.layout)

@@ -41,9 +41,11 @@ class SynthConfig:
     contrast: float = 0.3       # guaranteed background-vs-ROI mean separation
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.count < 1:
             raise ConfigError("count must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.height < 16 or self.width < 16:
             raise ConfigError("images must be at least 16x16")
         lo, hi = self.roi_fraction
@@ -67,7 +69,6 @@ _DEFORM_TOTAL = 0.18  # max combined radial deformation amplitude
 
 def generate_sample(cfg: SynthConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One (image, mask) pair; image float64 in [0, 1], mask uint8 {0, 1}."""
-    cfg.validate()
     h, w = cfg.height, cfg.width
     area = rng.uniform(*cfg.roi_fraction) * h * w
     # separation margin soaks up boundary blur, speckle, and shadow
@@ -176,7 +177,6 @@ def make_dataset(
     The labeled subset is a uniform sample (floor rounding) of the training
     portion.
     """
-    cfg.validate()
     if seed is None:
         seed = cfg.seed
     if not 0.0 < labeled_ratio <= 1.0:

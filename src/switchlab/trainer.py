@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -60,7 +61,6 @@ class TrainConfig:
     unlabeled_batch: int = 8
     ema_alpha: float = 0.99
     use_mss: bool = True          # off: the switch mask degenerates to all-true
-    use_fds: bool = True          # off: no frequency branch, no contrastive/consistency
     eval_every: int = 1000
     eval_with: str = "teacher"    # which network the eval/selection step scores
     net: NetConfig = field(default_factory=NetConfig)
@@ -70,16 +70,9 @@ class TrainConfig:
     augment: AugmentPolicy = field(default_factory=AugmentPolicy)
     data: DataConfig = field(default_factory=DataConfig)
 
-    def validate(self) -> None:
-        try:
-            self.net.validate()
-            self.mss.validate(self.net.height, self.net.width)
-            self.fds.validate()
-            self.loss.validate()
-            self.augment.validate()
-            self.data.synth.validate()
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(str(exc)) from exc
+    def __post_init__(self) -> None:
+        """Cross-field checks; each nested config checked itself when it was built."""
+        self.mss.validate(self.net.height, self.net.width)
         if self.lr0 <= 0:
             raise ConfigError("lr0 must be positive")
         if not 0.0 <= self.momentum < 1.0:
@@ -88,12 +81,10 @@ class TrainConfig:
             raise ConfigError("iteration counts must be at least 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        for name in ("labeled_batch", "unlabeled_batch"):
-            size = getattr(self, name)
-            if size < 2 or size % 2:
-                raise ConfigError(f"{name} must be an even number >= 2 (it splits into halves)")
         if self.labeled_batch != self.unlabeled_batch:
             raise ConfigError("labeled_batch and unlabeled_batch must be equal (mixtures pair them 1:1)")
+        if self.labeled_batch < 2 or self.labeled_batch % 2:
+            raise ConfigError("the batch sizes must be even numbers >= 2 (they split into halves)")
         if not 0.0 <= self.ema_alpha <= 1.0:
             raise ConfigError("ema_alpha must be in [0, 1]")
         if self.eval_every < 1:
@@ -115,14 +106,14 @@ def config_to_dict(cfg: TrainConfig) -> dict:
 def _build(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(known)
+    types = typing.get_type_hints(cls)
+    unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        if name in _NESTED:
-            kwargs[name] = _build(_NESTED[name], value, f"{path}.{name}")
+        if dataclasses.is_dataclass(types[name]):
+            kwargs[name] = _build(types[name], value, f"{path}.{name}")
         elif isinstance(value, list):
             kwargs[name] = tuple(value)
         else:
@@ -133,21 +124,8 @@ def _build(cls, data: dict, path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-_NESTED = {
-    "net": NetConfig,
-    "mss": MssConfig,
-    "fds": FdsConfig,
-    "loss": LossWeights,
-    "augment": AugmentPolicy,
-    "data": DataConfig,
-    "synth": SynthConfig,
-}
-
-
 def config_from_dict(data: dict) -> TrainConfig:
-    cfg = _build(TrainConfig, data, "config")
-    cfg.validate()
-    return cfg
+    return _build(TrainConfig, data, "config")
 
 
 def load_config(path) -> TrainConfig:
@@ -237,6 +215,12 @@ def _switch_mask(cfg: TrainConfig, rng) -> np.ndarray:
     return mss.generate_multiscale_mask(cfg.net.height, cfg.net.width, cfg.mss, rng)
 
 
+def _uses_fds(w: LossWeights) -> bool:
+    """The frequency twins feed only the contrastive and consistency terms, so
+    FDS is on exactly when one of their weights is."""
+    return w.lambda_contrastive > 0 or w.lambda_consistency > 0
+
+
 def build_selftrain_batch(
     cfg: TrainConfig, data: DatasetSplit, teacher: SegNetParams, rng: np.random.Generator
 ) -> StepBatch:
@@ -259,7 +243,7 @@ def build_selftrain_batch(
     mix_ub, mix_lb = switch_pair(x1, x2, u1, u2, m)
 
     mix_ub_freq = mix_lb_freq = None
-    if cfg.use_fds:
+    if _uses_fds(cfg.loss):
         # pairs x1/u1 and x2/u2 image by image
         xf, uf = fds.fds_batch(images[: cfg.labeled_batch], images[cfg.labeled_batch :], cfg.fds)
         mix_ub_freq, mix_lb_freq = switch_pair(*np.split(xf, 2), *np.split(uf, 2), m)
@@ -314,9 +298,8 @@ def selftrain_loss_and_grad(
     grads = SegNetParams(student.cfg)
     comp = {"mss": 0.0, "contrastive": 0.0, "consistency": 0.0}
     n = batch.mix_ub.shape[0]
-    has_freq = batch.mix_ub_freq is not None
-    want_consist = "consistency" in terms and has_freq and w.lambda_consistency > 0
-    want_cont = "contrastive" in terms and has_freq and w.lambda_contrastive > 0
+    want_consist = "consistency" in terms and w.lambda_consistency > 0
+    want_cont = "contrastive" in terms and w.lambda_contrastive > 0
     live_keys = want_cont and frozen_keys is None
 
     stack = [batch.mix_ub, batch.mix_lb]
@@ -438,7 +421,6 @@ def _run_phase(cfg, data, phase, iters, student, teacher, step_fn, log) -> Phase
 
 def pretrain(cfg: TrainConfig, data: DatasetSplit, log: Optional[TrainLog] = None) -> PhaseResult:
     """Supervised phase on switched labeled pairs, logged to ``log`` (a new one if None)."""
-    cfg.validate()
     rng_init = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(10,)))
     student = network.init_params(cfg.net, rng_init)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(11,)))
@@ -454,7 +436,6 @@ def self_train(
     cfg: TrainConfig, data: DatasetSplit, init: SegNetParams, log: Optional[TrainLog] = None
 ) -> PhaseResult:
     """Semi-supervised phase; the teacher starts as a copy of the student. ``log`` as in pretrain."""
-    cfg.validate()
     student = init.copy()
     teacher = init.copy()
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(12,)))

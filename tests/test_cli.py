@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from switchlab import losses, pgm
+from switchlab import losses, network, pgm, synthdata
 from switchlab.cli import main
 from switchlab.mss import MssConfig
 from switchlab.network import NetConfig
@@ -267,3 +267,77 @@ def test_diverging_pretraining_prints_one_line_and_keeps_its_log(tmp_path):
     assert proc.stderr.splitlines() == ["data error: pretraining diverged at step 3: logits contain non-finite values"]
     steps = [json.loads(line)["step"] for line in (out / "pretrain_log.jsonl").read_text().splitlines()]
     assert steps == [0, 1, 2]
+
+
+def _variant(workdir, name, **changes):
+    """Write a copy of the workdir config with ``changes`` (dotted keys) applied."""
+    cfg = json.loads((workdir / "config.json").read_text())
+    for dotted, value in changes.items():
+        *parents, key = dotted.split(".")
+        part = cfg
+        for parent in parents:
+            part = part[parent]
+        part[key] = value
+    path = workdir / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_gen_data_seeds_the_data_with_the_synth_seed(workdir):
+    # data.synth.seed seeds the data; the top-level seed (9 here) seeds training
+    written = []
+    for synth_seed in (7, 0):
+        out = workdir / f"data{synth_seed}"
+        cfg = _variant(workdir, f"seed{synth_seed}", **{"data.synth.seed": synth_seed})
+        assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 0
+        written.append((out / "test" / "img_00019.pgm").read_bytes())
+    assert written[0] != written[1]
+    synth = SynthConfig(height=32, width=32, count=20, roi_fraction=(0.05, 0.16), seed=7)
+    pgm.write_pgm(workdir / "want.pgm", synthdata.make_dataset(synth, 0.3).test[-1].image)
+    assert written[0] == (workdir / "want.pgm").read_bytes()
+
+
+@pytest.mark.parametrize("command", [["pretrain"], ["train", "--init", "none.bin"], ["eval", "--ckpt", "none.bin"]])
+def test_dataset_of_another_raster_is_a_data_error(workdir, capsys, command):
+    assert main(["gen-data", "--config", str(workdir / "config.json")]) == 0
+    big = _variant(workdir, "big", **{"net.height": 48, "net.width": 48, "data.synth.height": 48, "data.synth.width": 48})
+    capsys.readouterr()
+    assert main([command[0], "--config", big, *command[1:], "--out", str(workdir / "out")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: dataset {workdir / 'data'}: item ")
+    assert err[0].endswith(" is 32x32, the network takes 48x48")
+
+
+def test_eval_of_an_empty_split_is_a_data_error(workdir, capsys):
+    cfg = _variant(workdir, "no_val", **{"data.split_ratios": [0.9, 0.0, 0.1]})
+    assert main(["gen-data", "--config", cfg]) == 0
+    ckpt = workdir / "init.bin"
+    net = NetConfig(height=32, width=32, widths=(3, 4), embed_dim=4)
+    network.save_params(ckpt, network.init_params(net, np.random.default_rng(0)))
+    capsys.readouterr()
+    args = ["eval", "--config", cfg, "--ckpt", str(ckpt), "--split", "val", "--out", str(workdir / "report")]
+    assert main(args) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"data error: dataset {workdir / 'data'} has no val items to evaluate"]
+    assert not (workdir / "report" / "metrics_val.json").exists()
+
+
+def test_fds_demo_takes_its_pair_from_the_images_that_exist(workdir, capsys):
+    # the pair is the first labeled image and the first val image, or without val items the first test image
+    for name, ratios, part_b in [("with_val", [0.8, 0.1, 0.1], "val"), ("no_val", [0.9, 0.0, 0.1], "test")]:
+        root = workdir / name
+        cfg = _variant(workdir, name, **{"data.split_ratios": ratios})
+        assert main(["gen-data", "--config", cfg, "--out", str(root), "--fds-demo"]) == 0
+        manifest = json.loads((root / "manifest.json").read_text())
+        a = next(e["id"] for e in manifest["train"] if e["labeled"])
+        b = manifest[part_b][0]["id"]
+        demo = root / "fds_demo"
+        assert (demo / "pair_a_before.pgm").read_bytes() == (root / "train" / f"img_{a}.pgm").read_bytes()
+        assert (demo / "pair_b_before.pgm").read_bytes() == (root / part_b / f"img_{b}.pgm").read_bytes()
+    one = _variant(
+        workdir, "one", **{"data.synth.count": 1, "data.split_ratios": [1.0, 0.0, 0.0], "data.labeled_ratio": 1.0}
+    )
+    capsys.readouterr()
+    assert main(["gen-data", "--config", one, "--out", str(workdir / "one"), "--fds-demo"]) == 3
+    assert _one_error_line(capsys, "data error: the frequency-switch demo needs at least two images")
+    assert not (workdir / "one" / "fds_demo").exists()

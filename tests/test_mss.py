@@ -43,7 +43,7 @@ def test_every_pixel_reachable():
 
 def test_mask_config_validation():
     with pytest.raises(ValueError):
-        MssConfig(0, 0).validate(256, 256)
+        MssConfig(0, 0)
     with pytest.raises(ValueError):
         MssConfig(1, 1, coarse_size=300).validate(256, 256)
     with pytest.raises(ValueError):

@@ -25,11 +25,13 @@ TINY = NetConfig(height=16, width=16, widths=(3, 4), embed_dim=4)
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        NetConfig(height=10, width=16).validate()
+        NetConfig(height=10, width=16)
     with pytest.raises(ValueError):
-        NetConfig(widths=(4,)).validate()
+        NetConfig(widths=(4,))
     with pytest.raises(ValueError):
-        NetConfig(compute_dtype="float16").validate()
+        NetConfig(embed_dim=0)
+    with pytest.raises(ValueError):
+        NetConfig(compute_dtype="float16")
 
 
 def test_layout_deterministic_and_views_alias():

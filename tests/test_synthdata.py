@@ -67,13 +67,15 @@ def test_roi_background_separation_meets_contrast():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        SynthConfig(count=0).validate()
+        SynthConfig(count=0)
     with pytest.raises(ConfigError):
-        SynthConfig(roi_fraction=(0.0, 0.2)).validate()
+        SynthConfig(seed=-1)  # gen-data seeds the data with it
     with pytest.raises(ConfigError):
-        SynthConfig(roi_fraction=(0.2, 0.95)).validate()
+        SynthConfig(roi_fraction=(0.0, 0.2))
     with pytest.raises(ConfigError):
-        SynthConfig(height=64, width=64, roi_fraction=(0.1, 0.4)).validate()  # cannot fit
+        SynthConfig(roi_fraction=(0.2, 0.95))
+    with pytest.raises(ConfigError):
+        SynthConfig(height=64, width=64, roi_fraction=(0.1, 0.4))  # cannot fit
 
 
 def test_make_dataset_counts_and_disjointness():

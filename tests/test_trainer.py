@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from switchlab import losses, network, trainer
+from switchlab.augment import AugmentPolicy
 from switchlab.errors import ConfigError, DataError
+from switchlab.fds import FdsConfig
 from switchlab.losses import LossWeights
 from switchlab.metrics import MetricReport
 from switchlab.mss import MssConfig
@@ -118,6 +120,7 @@ def test_config_rejects_unknown_and_invalid(tmp_path):
         (("loss",), "normalize_embeddings", True),
         (("data", "synth"), "decoy_prob", 0.0),
         (("loss",), "dice_epsilon", 1e-5),
+        ((), "use_fds", False),
     ],
 )
 def test_config_keys_of_earlier_versions_are_unknown(section, key, value):
@@ -128,6 +131,27 @@ def test_config_keys_of_earlier_versions_are_unknown(section, key, value):
     part[key] = value
     with pytest.raises(ConfigError, match=f"unknown keys \\['{key}'\\]"):
         config_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TrainConfig(lr0=-1),
+        lambda: dataclasses.replace(TrainConfig(), lr0=-1),
+        lambda: AugmentPolicy(max_ops=-1),
+        lambda: NetConfig(widths=(4,)),
+        lambda: MssConfig(0, 0),
+        lambda: FdsConfig(area_ratio=1.0),
+        lambda: LossWeights(temperature=0.0),
+        lambda: SynthConfig(count=0),
+        lambda: tiny_config(mss=MssConfig(1, 1, 64, 4)),  # patch larger than the 32x32 raster
+    ],
+    ids=["train", "train_replace", "augment", "net", "mss", "fds", "loss", "synth", "train_mss_raster"],
+)
+def test_every_config_checks_itself_when_built(build):
+    with pytest.raises(ConfigError):
+        build()
+    assert issubclass(ConfigError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +196,11 @@ def test_mss_off_uses_all_true_mask(tiny_data):
     assert batch.mask.all()
 
 
+FDS_OFF = LossWeights(lambda_contrastive=0.0, lambda_consistency=0.0)
+
+
 def test_fds_off_skips_frequency_branch(tiny_data):
-    cfg = tiny_config(use_fds=False)
+    cfg = tiny_config(loss=FDS_OFF)
     teacher = network.init_params(cfg.net, np.random.default_rng(1))
     batch = build_selftrain_batch(cfg, tiny_data, teacher, np.random.default_rng(2))
     assert batch.mix_ub_freq is None and batch.mix_lb_freq is None
@@ -200,7 +227,7 @@ def _fixed_batch(cfg, rng):
 
 
 @pytest.mark.parametrize(
-    "row,use_mss,use_fds,augs,l_cont,l_consist,active",
+    "row,use_mss,fds_on,augs,l_cont,l_consist,active",
     [
         ("a", False, False, False, 0.0, 0.0, {"mss"}),
         ("b", True, False, False, 0.0, 0.0, {"mss"}),
@@ -213,19 +240,18 @@ def _fixed_batch(cfg, rng):
     ],
 )
 def test_ablation_rows_activate_expected_components(
-    tiny_data, row, use_mss, use_fds, augs, l_cont, l_consist, active
+    tiny_data, row, use_mss, fds_on, augs, l_cont, l_consist, active
 ):
-    from switchlab.augment import AugmentPolicy
-
+    # FDS is on exactly when a frequency-term weight is positive
     cfg = tiny_config(
         use_mss=use_mss,
-        use_fds=use_fds,
         augment=AugmentPolicy(use_weak=augs, use_strong=augs, max_ops=3 if augs else 0),
         loss=LossWeights(lambda_contrastive=l_cont, lambda_consistency=l_consist),
     )
     teacher = network.init_params(cfg.net, np.random.default_rng(3))
     student = network.init_params(cfg.net, np.random.default_rng(4))
     batch = build_selftrain_batch(cfg, tiny_data, teacher, np.random.default_rng(5))
+    assert (batch.mix_ub_freq is not None) == fds_on, f"row {row}: frequency twins"
     comp, _ = selftrain_loss_and_grad(student, batch, cfg)
     for name in ("mss", "contrastive", "consistency"):
         if name in active:
@@ -260,10 +286,10 @@ def test_selftrain_gradients_match_fd(tiny_data):
         assert abs(fd - an) / max(abs(fd), abs(an)) < 1e-4
 
 
-@pytest.mark.parametrize("use_fds,images", [(True, 8), (False, 4)])
-def test_selftrain_step_runs_the_student_once(tiny_data, monkeypatch, use_fds, images):
+@pytest.mark.parametrize("fds_on,images", [(True, 8), (False, 4)])
+def test_selftrain_step_runs_the_student_once(tiny_data, monkeypatch, fds_on, images):
     # mixtures and frequency twins share one forward and one backward
-    cfg = tiny_config(use_fds=use_fds)
+    cfg = tiny_config(loss=LossWeights() if fds_on else FDS_OFF)
     teacher = network.init_params(cfg.net, np.random.default_rng(1))
     student = network.init_params(cfg.net, np.random.default_rng(2))
     batch = build_selftrain_batch(cfg, tiny_data, teacher, np.random.default_rng(3))
@@ -285,10 +311,10 @@ def test_selftrain_step_runs_the_student_once(tiny_data, monkeypatch, use_fds, i
     assert len(backwards) == 1
 
 
-@pytest.mark.parametrize("use_fds", [True, False])
-def test_each_loss_step_takes_one_softmax_per_logits_batch(tiny_data, monkeypatch, use_fds):
+@pytest.mark.parametrize("fds_on", [True, False])
+def test_each_loss_step_takes_one_softmax_per_logits_batch(tiny_data, monkeypatch, fds_on):
     # one softmax per mixing direction feeds both region terms of Dice and CE
-    cfg = tiny_config(use_fds=use_fds)
+    cfg = tiny_config(loss=LossWeights() if fds_on else FDS_OFF)
     teacher = network.init_params(cfg.net, np.random.default_rng(1))
     student = network.init_params(cfg.net, np.random.default_rng(2))
     batch = build_selftrain_batch(cfg, tiny_data, teacher, np.random.default_rng(3))
