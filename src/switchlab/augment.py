@@ -43,9 +43,7 @@ class AugmentationOp:
 
 @dataclass(frozen=True)
 class AugmentPolicy:
-    use_weak: bool = True
-    use_strong: bool = True
-    max_ops: int = 3
+    max_ops: int = 3  # 0 turns augmentation off
 
     def __post_init__(self) -> None:
         if self.max_ops < 0:
@@ -55,18 +53,13 @@ class AugmentPolicy:
 def sample_augmentations(policy: AugmentPolicy, rng: np.random.Generator) -> list[AugmentationOp]:
     """Draw an ordered pipeline of 0..max_ops distinct operations.
 
-    Kinds come uniformly from the categories enabled by the policy and each
+    Kinds come uniformly from the weak and strong catalogs and each
     operation's parameters are uniform over its catalog range.
     """
-    pool: list[str] = []
-    if policy.use_weak:
-        pool.extend(WEAK_KINDS)
-    if policy.use_strong:
-        pool.extend(STRONG_KINDS)
-    if not pool or policy.max_ops == 0:
+    if policy.max_ops == 0:
         return []
-    n = int(rng.integers(0, policy.max_ops + 1))
-    n = min(n, len(pool))
+    pool = WEAK_KINDS + STRONG_KINDS
+    n = min(int(rng.integers(0, policy.max_ops + 1)), len(pool))
     kinds = rng.choice(pool, size=n, replace=False) if n else []
     return [_sample_params(str(kind), rng) for kind in kinds]
 

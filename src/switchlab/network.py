@@ -16,15 +16,17 @@ makes EMA blending, SGD with momentum, finite-difference gradient checks,
 and binary checkpointing straightforward. Forward passes are deterministic;
 backward passes accumulate into a gradient vector aligned with the layout.
 
-Public tensors are channels-first; internally activations are kept
-channels-last, so a (pixels, channels) view of an activation feeds a
-matmul without a transpose.
+Images, logits (N, 2, H, W) and embeddings (N, dim, K) are channels-first,
+the layout the losses use. Every activation inside the network is
+channels-last, (N, H, W, C), so a (pixels, channels) view of it feeds a
+matmul without a transpose; so are the decoder features that ``forward``
+returns for ``project``.
 
-A 3x3 convolution's forward runs nine GEMMs straight on the edge-padded
-input, with no window copies: flattened to rows, each tap is one
-contiguous slice of it. The images go through in chunks sized to stay in
-cache. The backward still copies each tap's window, for its weight
-gradient; see the comment on the primitive layers.
+A 3x3 convolution runs nine GEMMs straight on the edge-padded input in both
+passes, with no window copies: flattened to rows, each tap is one
+contiguous slice of it. The weight gradient sums over those rows chunk by
+chunk, an order that gave new teacher hashes when it replaced a backward
+that copied each tap's window; see the comment on the primitive layers.
 """
 
 from __future__ import annotations
@@ -156,30 +158,28 @@ def init_params(cfg: NetConfig, rng: np.random.Generator) -> SegNetParams:
 
 class ForwardOutput(NamedTuple):
     logits: np.ndarray    # (N, 2, H, W)
-    features: np.ndarray  # (N, widths[0], H, W), the projector input
+    features: np.ndarray  # (N, H, W, widths[0]), channels-last: the projector input
 
 
 # ---------------------------------------------------------------------------
 # primitive layers (channels-last activations)
 #
-# 3x3 convolutions run as nine GEMM-accumulates, one per tap, over the
-# edge-padded input, which doubles as the backward cache. The forward reads
-# each tap without a copy. Flatten an image's padded input to rows of C
-# values: output pixel (i, j) is at row p = i*(W+2) + j, and its tap (di, dj)
-# is row p + di*(W+2) + dj. So each tap is one contiguous slice and one GEMM.
-# The product has W+2 rows per image row; the two wrap-around rows are
-# dropped as it is added. Whole images go through in chunks of at most
-# _CONV_CHUNK_BYTES of padded input, and of one tap's product, so the
-# buffers stay in cache: at 256x256 float64 that is one image per chunk. Each
-# output element still sums the bias, then the nine taps in order, each tap a
-# C-length dot product, so its bits do not depend on the chunking.
-#
-# The backward keeps one window copy per tap: the weight gradient's GEMM
-# sums over every output pixel, and running it over the flat rows would
-# change that summation's order and so the gradient's bits.
+# 3x3 convolutions run as nine GEMMs, one per tap, over the edge-padded
+# input, which doubles as the backward cache; neither pass copies a window.
+# Flatten an image's padded input to rows of C values: output pixel (i, j) is
+# row p = i*(W+2) + j, and its tap (di, dj) is row p + di*(W+2) + dj, so each
+# tap is one contiguous slice. Of the W+2 output rows per image row, the two
+# wrap-around rows are dropped from the forward's products and are zero in
+# the backward's output gradient. Both passes walk the same chunks of whole
+# images, at most _CONV_CHUNK_BYTES of padded input and of one tap's product,
+# so the buffers stay in cache (one image at 256x256 float64). A forward
+# output sums the bias and then its nine taps in order, and a dx element its
+# taps in order, each a dot product over channels, so their bits do not
+# depend on the chunking (with C = 1, BLAS may round dx's matrix-vector
+# products by row position). dW sums each tap's product chunk by chunk.
 
 
-# bytes of padded input, and of one tap's product, per chunk of the 3x3 forward
+# bytes of padded input, and of one tap's product, per chunk of the 3x3 conv
 _CONV_CHUNK_BYTES = 4 << 20
 
 
@@ -194,55 +194,53 @@ def _pad_edge(x: np.ndarray) -> np.ndarray:
     return xp
 
 
+def _chunks(xp: np.ndarray, f: int) -> list[tuple[slice, np.ndarray, int]]:
+    """(images, their padded input as flat rows, m) per chunk; each tap's GEMM
+    covers m rows: the last real pixel is row m - 1, its (2, 2) tap the last row."""
+    n, hp, wp, c = xp.shape
+    step = max(1, _CONV_CHUNK_BYTES // (hp * wp * max(c, f) * xp.dtype.itemsize))
+    flats = [(slice(k0, k0 + step), xp[k0 : k0 + step].reshape(-1, c)) for k0 in range(0, n, step)]
+    return [(images, flat, len(flat) - 2 * wp - 2) for images, flat in flats]
+
+
 def _conv3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, h, wd, c = x.shape
     f = w.shape[0]
-    dtype = x.dtype
     xp = _pad_edge(x)
-    wp = wd + 2
-    rows = (h + 2) * wp  # padded pixels per image
-    # whole images per chunk: its padded input and its tap product fit the budget
-    step = max(1, _CONV_CHUNK_BYTES // (rows * max(c, f) * dtype.itemsize))
-    wk = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=dtype)  # (3, 3, C, F)
-    out = np.empty((n, h, wd, f), dtype=dtype)
-    out[:] = b.astype(dtype)
-    tmp = np.empty((min(step, n) * rows, f), dtype=dtype)
-    for k0 in range(0, n, step):
-        k = min(step, n - k0)
-        flat = xp[k0 : k0 + k].reshape(k * rows, c)
-        # the last real pixel is row m - 1; its (2, 2) tap is the chunk's last row
-        m = k * rows - 2 * wp - 2
-        acc = out[k0 : k0 + k]
-        taps = tmp[: k * rows].reshape(k, h + 2, wp, f)[:, :h, :wd]  # drops the wrap-around rows
-        for di in range(3):
-            for dj in range(3):
-                s = di * wp + dj
-                np.matmul(flat[s : s + m], wk[di, dj], out=tmp[:m])
-                acc += taps
+    wk = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=x.dtype).reshape(9, c, f)
+    chunks = _chunks(xp, f)
+    out = np.empty((n, h, wd, f), dtype=x.dtype)
+    out[:] = b.astype(x.dtype)
+    tmp = np.empty((len(chunks[0][1]), f), dtype=x.dtype)
+    for images, flat, m in chunks:
+        acc = out[images]
+        prod = tmp[: len(flat)].reshape(-1, h + 2, wd + 2, f)[:, :h, :wd]  # drops the wrap-around rows
+        for t in range(9):  # tap (di, dj) = divmod(t, 3)
+            s = t // 3 * (wd + 2) + t % 3
+            np.matmul(flat[s : s + m], wk[t], out=tmp[:m])
+            acc += prod
     return out, xp
 
 
 def _conv3_backward(xp, w, dout, input_grad: bool = True):
     n, hp, wp, c = xp.shape
-    h, wd = hp - 2, wp - 2
     f = w.shape[0]
-    dtype = xp.dtype
-    dmat = np.ascontiguousarray(dout.reshape(n * h * wd, f))
-    wk = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=dtype)
-    dwk = np.empty((3, 3, c, f), dtype=dtype)
+    wk = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=xp.dtype).reshape(9, c, f)
+    chunks = _chunks(xp, f)
+    g = np.zeros((len(chunks[0][1]), f), dtype=xp.dtype)  # dout on the flat rows
+    tmp = np.empty((len(g), c), dtype=xp.dtype)
+    dwk = np.zeros_like(wk)
     dxp = np.zeros_like(xp) if input_grad else None
-    buf = np.empty((n, h, wd, c), dtype=dtype)
-    bufm = buf.reshape(n * h * wd, c)
-    for di in range(3):
-        for dj in range(3):
-            np.copyto(buf, xp[:, di : di + h, dj : dj + wd, :])
-            np.matmul(bufm.T, dmat, out=dwk[di, dj])
+    for images, flat, m in chunks:
+        g[: len(flat)].reshape(-1, hp, wp, f)[:, : hp - 2, : wp - 2] = dout[images]  # wrap-around rows stay 0
+        for t in range(9):
+            s = t // 3 * wp + t % 3
+            dwk[t] += flat[s : s + m].T @ g[:m]
             if input_grad:
-                # the window is spent once dwk has it; reuse its buffer for dx
-                np.matmul(dmat, wk[di, dj].T, out=bufm)
-                dxp[:, di : di + h, dj : dj + wd, :] += buf
-    dw = dwk.transpose(3, 2, 0, 1)
-    db = dmat.sum(axis=0)
+                np.matmul(g[:m], wk[t].T, out=tmp[:m])
+                dxp[images].reshape(-1, c)[s : s + m] += tmp[:m]
+    dw = dwk.reshape(3, 3, c, f).transpose(3, 2, 0, 1)
+    db = dout.reshape(-1, f).sum(axis=0)
     if not input_grad:
         return None, dw, db
     # fold the edge-replicated borders back (reverse of _pad_edge)
@@ -366,9 +364,7 @@ def forward(params: SegNetParams, images: np.ndarray, cache: dict | None = None)
     logits = _conv1(h, params.view("head.w"), params.view("head.b"))
     if cache is not None:
         cache["features"] = h
-    return ForwardOutput(
-        np.ascontiguousarray(logits.transpose(0, 3, 1, 2)), np.ascontiguousarray(h.transpose(0, 3, 1, 2))
-    )
+    return ForwardOutput(np.ascontiguousarray(logits.transpose(0, 3, 1, 2)), h)
 
 
 def backward(
@@ -381,9 +377,9 @@ def backward(
     """Accumulate parameter gradients for one cached forward pass.
 
     ``dlogits`` is the upstream gradient at the logits; ``dfeatures``
-    optionally adds a gradient arriving at the decoder feature map (the
-    projector path). Returns a gradient vector aligned with the layout.
-    The cache is consumed: each entry is dropped once its layer is done.
+    optionally adds a gradient arriving at the channels-last decoder feature
+    map (the projector path). Returns a gradient vector aligned with the
+    layout. The cache is consumed: each entry is dropped once its layer is done.
     """
     cfg = params.cfg
     if grads is None:
@@ -395,7 +391,7 @@ def backward(
     grads.view("head.b")[...] += db
     dh = dx
     if dfeatures is not None:
-        dh = dh + np.asarray(dfeatures, dtype=cfg.dtype).transpose(0, 2, 3, 1)
+        dh = dh + np.asarray(dfeatures, dtype=cfg.dtype)
     stages = len(cfg.widths)
     dskips: dict[int, np.ndarray] = {}
     for s in range(stages - 1):
@@ -415,9 +411,8 @@ def backward(
 
 
 def project(params: SegNetParams, features: np.ndarray, cache: dict | None = None) -> np.ndarray:
-    """Project (N, C, H, W) feature maps to (N, embed_dim, K) embeddings, K = H*W/16."""
+    """Project channels-last (N, H, W, C) feature maps to (N, embed_dim, K) embeddings, K = H*W/16."""
     x = np.asarray(features, dtype=params.cfg.dtype)
-    x = np.ascontiguousarray(x.transpose(0, 2, 3, 1))  # to channels-last
     n, h, w, _ = x.shape
     if h % 4 or w % 4:
         raise ValueError(f"feature size {h}x{w} not divisible by 4")
@@ -436,8 +431,8 @@ def project(params: SegNetParams, features: np.ndarray, cache: dict | None = Non
 def project_backward(
     params: SegNetParams, cache: dict, demb: np.ndarray, grads: SegNetParams
 ) -> np.ndarray:
-    """Backward through the projector; returns the gradient at its input features
-    in channels-first layout. Consumes the cache, as ``backward`` does."""
+    """Backward through the projector; returns the gradient at its input features,
+    channels-last. Consumes the cache, as ``backward`` does."""
     demb = np.asarray(demb, dtype=params.cfg.dtype)
     p2 = cache.pop("proj.p2")
     n, hh, ww, _ = p2.shape
@@ -449,7 +444,7 @@ def project_backward(
     dp1 = _conv_relu_backward(params, grads, "proj.conv2", cache, dh2)
     dh1 = _maxpool2_backward(dp1, cache.pop("proj.pool1.idx"))
     dx = _conv_relu_backward(params, grads, "proj.conv1", cache, dh1)
-    return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
+    return dx
 
 
 # ---------------------------------------------------------------------------

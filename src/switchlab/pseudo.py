@@ -20,21 +20,16 @@ def largest_connected_component(mask: np.ndarray) -> np.ndarray:
     """Keep only the largest 4-connected foreground component of a {0, 1} mask.
 
     Empty masks pass through unchanged. Exact size ties are broken in favor
-    of the component whose top-left pixel comes first in row-major order.
+    of the component whose first pixel comes first in row-major order:
+    ``ndimage.label`` numbers components in that order, and argmax keeps the
+    first of equal sizes.
     """
     mask = np.asarray(mask)
     labels, n = ndimage.label(mask != 0, structure=_FOUR_CONNECTED)
     if n <= 1:
         return (mask != 0).astype(np.uint8)
     sizes = np.bincount(labels.ravel())[1:]  # skip background
-    best_size = sizes.max()
-    candidates = np.flatnonzero(sizes == best_size) + 1
-    if len(candidates) == 1:
-        keep = candidates[0]
-    else:
-        flat = labels.ravel()
-        keep = min(candidates, key=lambda lab: int(np.flatnonzero(flat == lab)[0]))
-    return (labels == keep).astype(np.uint8)
+    return (labels == np.argmax(sizes) + 1).astype(np.uint8)
 
 
 def pseudo_labels(logits: np.ndarray) -> np.ndarray:

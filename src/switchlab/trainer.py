@@ -103,6 +103,21 @@ def config_to_dict(cfg: TrainConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
+def _is_a(value, tp) -> bool:
+    """Whether a JSON value fits a field annotation: an int is no bool, a float
+    may be an int, and a tuple is a list whose elements fit one by one."""
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        args = typing.get_args(tp)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_is_a, value, args))
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
+
+
 def _build(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -112,16 +127,15 @@ def _build(cls, data: dict, path: str):
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        if dataclasses.is_dataclass(types[name]):
-            kwargs[name] = _build(types[name], value, f"{path}.{name}")
-        elif isinstance(value, list):
-            kwargs[name] = tuple(value)
+        tp = types[name]
+        if dataclasses.is_dataclass(tp):
+            kwargs[name] = _build(tp, value, f"{path}.{name}")
+        elif not _is_a(value, tp):
+            shown = tp.__name__ if typing.get_origin(tp) is None else tp
+            raise ConfigError(f"{path}.{name}: expected {shown}, got {json.dumps(value, default=repr)}")
         else:
-            kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+            kwargs[name] = tuple(value) if isinstance(value, list) else value
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> TrainConfig:

@@ -192,3 +192,31 @@ def conv3_edge_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
                                 acc += float(x[k, y, xx, ci]) * float(w[o, ci, di, dj])
                     out[k, i, j, o] = acc
     return out
+
+
+def conv3_backward_edge_loops(x: np.ndarray, w: np.ndarray, dout: np.ndarray):
+    """Gradients of ``conv3_edge_loops`` by direct sums, as float64 (dx, dw, db).
+
+    ``dout`` is the (N, H, W, F) gradient at the output. Each output pixel
+    sends its gradient back along its nine clamped taps: to the input pixel
+    a tap reads (dx) and to the weight that reads it (dw).
+    """
+    n, h, wd, c = x.shape
+    f = w.shape[0]
+    dx = np.zeros((n, h, wd, c))
+    dw = np.zeros((f, c, 3, 3))
+    db = np.zeros(f)
+    for k in range(n):
+        for i in range(h):
+            for j in range(wd):
+                for o in range(f):
+                    g = float(dout[k, i, j, o])
+                    db[o] += g
+                    for di in range(3):
+                        y = min(max(i + di - 1, 0), h - 1)
+                        for dj in range(3):
+                            xx = min(max(j + dj - 1, 0), wd - 1)
+                            for ci in range(c):
+                                dw[o, ci, di, dj] += g * float(x[k, y, xx, ci])
+                                dx[k, y, xx, ci] += g * float(w[o, ci, di, dj])
+    return dx, dw, db

@@ -111,6 +111,21 @@ def test_negative_seed_is_a_config_error(workdir, capsys):
     assert len(err) == 1 and err[0].startswith("config error:")
 
 
+@pytest.mark.parametrize(
+    "key,value,shown",
+    [("pretrain_iters", 2.5, "int"), ("pretrain_iters", True, "int"), ("pretrain_iters", 1.0, "int"), ("use_mss", "no", "bool")],
+)
+def test_config_value_of_the_wrong_type_is_a_config_error(workdir, capsys, key, value, shown):
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg[key] = value
+    bad = workdir / "bad_type.json"
+    bad.write_text(json.dumps(cfg))
+    assert main(["pretrain", "--config", str(bad), "--out", str(workdir / "ckpt")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config error: config.{key}: expected {shown}, got {json.dumps(value)}"]
+    assert not (workdir / "ckpt").exists()
+
+
 def test_data_error_exit_code(workdir):
     # training without generated data (and a labeled_ratio that collapses)
     cfg_path = str(workdir / "config.json")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import conv3_edge_loops
+from oracles import conv3_backward_edge_loops, conv3_edge_loops
 
 from switchlab import network
 from switchlab.errors import DataError
@@ -56,7 +56,7 @@ def test_forward_shapes_and_determinism():
     a = forward(params, imgs)
     b = forward(params, imgs)
     assert a.logits.shape == (3, 2, 16, 16)
-    assert a.features.shape == (3, 3, 16, 16)
+    assert a.features.shape == (3, 16, 16, 3)  # channels-last
     assert np.array_equal(a.logits, b.logits)
     assert np.all(np.isfinite(a.logits))
     with pytest.raises(ValueError):
@@ -73,7 +73,7 @@ def test_project_shapes():
     emb = project(params, out.features)
     assert emb.shape == (2, 5, 64)  # two 2x poolings: K = 32*32/16
     assert np.all(np.isfinite(emb))
-    const = np.full((1, 3, 32, 32), 0.7)
+    const = np.full((1, 32, 32, 3), 0.7)
     emb_const = project(params, const)
     # constant input stays constant per channel through convs and pooling
     assert np.allclose(emb_const.std(axis=2), 0.0, atol=1e-12)
@@ -254,6 +254,42 @@ def test_conv3_matches_direct_sums_across_chunks(monkeypatch, dtype, channels):
     np.testing.assert_allclose(out, conv3_edge_loops(x, w, b), rtol=tol, atol=tol)
     # chunking regroups whole images only, so every output bit stays the same
     assert out.tobytes() == one_chunk.tobytes()
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_conv3_backward_matches_direct_sums_across_chunks(monkeypatch, channels, dtype, input_grad):
+    rng = np.random.default_rng(12)
+    n, h, wd, f = 5, 4, 7, 2  # a non-square raster
+    x = rng.normal(size=(n, h, wd, channels)).astype(dtype)
+    w = rng.normal(size=(f, channels, 3, 3))
+    dout = rng.normal(size=(n, h, wd, f)).astype(dtype)
+    _, xp = network._conv3(x, w, np.zeros(f))
+    one_dx, one_dw, one_db = network._conv3_backward(xp, w, dout, input_grad)
+    # two images per chunk: chunks of 2, 2 and a partial 1
+    per_image = (h + 2) * (wd + 2) * max(channels, f) * np.dtype(dtype).itemsize
+    monkeypatch.setattr(network, "_CONV_CHUNK_BYTES", 2 * per_image)
+    dx, dw, db = network._conv3_backward(xp, w, dout, input_grad)
+    ref_dx, ref_dw, ref_db = conv3_backward_edge_loops(x, w, dout)
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    assert dw.dtype == db.dtype == dtype and dw.shape == w.shape
+    np.testing.assert_allclose(dw, ref_dw, rtol=tol, atol=tol)
+    np.testing.assert_allclose(db, ref_db, rtol=tol, atol=tol)
+    # dW sums chunk by chunk; db sums the whole output gradient at once
+    np.testing.assert_allclose(dw, one_dw, rtol=tol, atol=tol)
+    assert db.tobytes() == one_db.tobytes()
+    if not input_grad:
+        assert dx is None and one_dx is None
+        return
+    assert dx.dtype == dtype and dx.shape == x.shape
+    np.testing.assert_allclose(dx, ref_dx, rtol=tol, atol=tol)
+    # each dx element sums its taps in order, whatever the chunks. With one
+    # channel the taps' products are matrix-vector products, whose BLAS kernel
+    # may round a row by its position in the chunk; the network takes that
+    # gradient only when widths[0] is 1.
+    if channels > 1:
+        assert np.ascontiguousarray(dx).tobytes() == np.ascontiguousarray(one_dx).tobytes()
 
 
 def test_conv3_backward_without_input_gradient_keeps_the_weight_gradient():

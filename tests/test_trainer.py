@@ -121,6 +121,8 @@ def test_config_rejects_unknown_and_invalid(tmp_path):
         (("data", "synth"), "decoy_prob", 0.0),
         (("loss",), "dice_epsilon", 1e-5),
         ((), "use_fds", False),
+        (("augment",), "use_weak", True),
+        (("augment",), "use_strong", True),
     ],
 )
 def test_config_keys_of_earlier_versions_are_unknown(section, key, value):
@@ -245,7 +247,7 @@ def test_ablation_rows_activate_expected_components(
     # FDS is on exactly when a frequency-term weight is positive
     cfg = tiny_config(
         use_mss=use_mss,
-        augment=AugmentPolicy(use_weak=augs, use_strong=augs, max_ops=3 if augs else 0),
+        augment=AugmentPolicy(max_ops=3 if augs else 0),
         loss=LossWeights(lambda_contrastive=l_cont, lambda_consistency=l_consist),
     )
     teacher = network.init_params(cfg.net, np.random.default_rng(3))
