@@ -24,9 +24,14 @@ returns for ``project``.
 
 A 3x3 convolution runs nine GEMMs straight on the edge-padded input in both
 passes, with no window copies: flattened to rows, each tap is one
-contiguous slice of it. The weight gradient sums over those rows chunk by
-chunk, an order that gave new teacher hashes when it replaced a backward
-that copied each tap's window; see the comment on the primitive layers.
+contiguous slice of it. The padded input exists one chunk of images at a
+time, in a reused buffer; a decoder conv1 reads the half-resolution
+decoder activation and the skip as two parts and upsamples and
+concatenates them only inside that buffer. The backward cache of a conv is
+its bool ReLU mask plus references to its input parts, arrays the forward
+keeps anyway (the image, a ReLU output, a pooled input), and the backward
+pads each chunk again. The weight gradient sums over the flat rows chunk
+by chunk; see the comment on the primitive layers.
 """
 
 from __future__ import annotations
@@ -165,90 +170,130 @@ class ForwardOutput(NamedTuple):
 # primitive layers (channels-last activations)
 #
 # 3x3 convolutions run as nine GEMMs, one per tap, over the edge-padded
-# input, which doubles as the backward cache; neither pass copies a window.
-# Flatten an image's padded input to rows of C values: output pixel (i, j) is
+# input; neither pass copies a window. A conv's input is the channel-wise
+# concatenation of its parts: one array, or for a decoder conv1 the
+# half-resolution decoder activation (repeated 2x2, nearest-neighbor
+# upsampling) and then the skip. No full-batch padded, upsampled or
+# concatenated input is ever built: both passes walk chunks of whole images,
+# at most _CONV_CHUNK_BYTES of padded input and of one tap's product, and
+# write each chunk's padded input into one reused chunk-sized buffer, so the
+# buffers stay in cache (one image at 256x256 float64). The backward cache of
+# a conv is its bool ReLU mask plus references to its parts, arrays the
+# forward keeps anyway; the backward pads each chunk again.
+#
+# Flatten a chunk's padded input to rows of C values: output pixel (i, j) is
 # row p = i*(W+2) + j, and its tap (di, dj) is row p + di*(W+2) + dj, so each
 # tap is one contiguous slice. Of the W+2 output rows per image row, the two
 # wrap-around rows are dropped from the forward's products and are zero in
-# the backward's output gradient. Both passes walk the same chunks of whole
-# images, at most _CONV_CHUNK_BYTES of padded input and of one tap's product,
-# so the buffers stay in cache (one image at 256x256 float64). A forward
-# output sums the bias and then its nine taps in order, and a dx element its
-# taps in order, each a dot product over channels, so their bits do not
-# depend on the chunking (with C = 1, BLAS may round dx's matrix-vector
-# products by row position). dW sums each tap's product chunk by chunk.
+# the backward's output gradient. The backward reads a chunk's padded input
+# for dW, then sums the chunk's dx on the same buffer's rows, folds the
+# borders back and hands each part its share (an upsampled part the sum over
+# each 2x2 block). A forward output sums the bias and then its nine taps in
+# order, and a dx element its taps in order, each a dot product over
+# channels, so their bits do not depend on the chunking (with C = 1, BLAS may
+# round dx's matrix-vector products by row position). dW sums each tap's
+# product chunk by chunk.
 
 
 # bytes of padded input, and of one tap's product, per chunk of the 3x3 conv
 _CONV_CHUNK_BYTES = 4 << 20
 
 
-def _pad_edge(x: np.ndarray) -> np.ndarray:
-    n, h, wd, c = x.shape
-    xp = np.empty((n, h + 2, wd + 2, c), dtype=x.dtype)
-    xp[:, 1:-1, 1:-1, :] = x
-    xp[:, 0, 1:-1, :] = x[:, 0, :, :]
-    xp[:, -1, 1:-1, :] = x[:, -1, :, :]
-    xp[:, :, 0, :] = xp[:, :, 1, :]
-    xp[:, :, -1, :] = xp[:, :, -2, :]
-    return xp
+def _chunk_plan(parts, f: int) -> tuple[int, int, int, int, int]:
+    """(n, h, w, c, images per chunk) of a 3x3 conv's input; the last part has
+    the input's raster, and any part at half that raster is upsampled."""
+    n, h, wd, _ = parts[-1].shape
+    c = sum(p.shape[3] for p in parts)
+    step = max(1, _CONV_CHUNK_BYTES // ((h + 2) * (wd + 2) * max(c, f) * parts[-1].dtype.itemsize))
+    return n, h, wd, c, min(step, n)
 
 
-def _chunks(xp: np.ndarray, f: int) -> list[tuple[slice, np.ndarray, int]]:
-    """(images, their padded input as flat rows, m) per chunk; each tap's GEMM
-    covers m rows: the last real pixel is row m - 1, its (2, 2) tap the last row."""
-    n, hp, wp, c = xp.shape
-    step = max(1, _CONV_CHUNK_BYTES // (hp * wp * max(c, f) * xp.dtype.itemsize))
-    flats = [(slice(k0, k0 + step), xp[k0 : k0 + step].reshape(-1, c)) for k0 in range(0, n, step)]
-    return [(images, flat, len(flat) - 2 * wp - 2) for images, flat in flats]
+def _pad_chunk(buf: np.ndarray, parts, images: slice) -> np.ndarray:
+    """Write the edge-padded input of ``images`` into ``buf``; return it as flat rows."""
+    k = len(parts[-1][images])
+    xp = buf[:k]
+    c0 = 0
+    for part in parts:
+        x = part[images]
+        dst = xp[:, 1:-1, 1:-1, c0 : c0 + x.shape[3]]
+        if x.shape[1] == dst.shape[1]:
+            dst[...] = x
+        else:  # nearest-neighbor 2x upsampling
+            for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                dst[:, di::2, dj::2] = x
+        c0 += x.shape[3]
+    xp[:, 0, 1:-1] = xp[:, 1, 1:-1]
+    xp[:, -1, 1:-1] = xp[:, -2, 1:-1]
+    xp[:, :, 0] = xp[:, :, 1]
+    xp[:, :, -1] = xp[:, :, -2]
+    return xp.reshape(-1, xp.shape[3])
 
 
-def _conv3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n, h, wd, c = x.shape
+def _conv3(parts, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """3x3 edge-padded conv of the concatenation of ``parts`` (see above)."""
     f = w.shape[0]
-    xp = _pad_edge(x)
-    wk = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=x.dtype).reshape(9, c, f)
-    chunks = _chunks(xp, f)
-    out = np.empty((n, h, wd, f), dtype=x.dtype)
-    out[:] = b.astype(x.dtype)
-    tmp = np.empty((len(chunks[0][1]), f), dtype=x.dtype)
-    for images, flat, m in chunks:
+    n, h, wd, c, step = _chunk_plan(parts, f)
+    dtype = parts[-1].dtype
+    wk = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=dtype).reshape(9, c, f)
+    out = np.empty((n, h, wd, f), dtype=dtype)
+    out[:] = b.astype(dtype)
+    buf = np.empty((step, h + 2, wd + 2, c), dtype=dtype)
+    tmp = np.empty((step * (h + 2) * (wd + 2), f), dtype=dtype)
+    for k0 in range(0, n, step):
+        images = slice(k0, k0 + step)
+        flat = _pad_chunk(buf, parts, images)
+        m = len(flat) - 2 * (wd + 2) - 2  # the last real pixel is row m - 1, its (2, 2) tap the last row
         acc = out[images]
         prod = tmp[: len(flat)].reshape(-1, h + 2, wd + 2, f)[:, :h, :wd]  # drops the wrap-around rows
         for t in range(9):  # tap (di, dj) = divmod(t, 3)
             s = t // 3 * (wd + 2) + t % 3
             np.matmul(flat[s : s + m], wk[t], out=tmp[:m])
             acc += prod
-    return out, xp
+    return out
 
 
-def _conv3_backward(xp, w, dout, input_grad: bool = True):
-    n, hp, wp, c = xp.shape
+def _conv3_backward(parts, w, dout, input_grad: bool = True):
+    """(dx per part or None, dW, dB) of ``_conv3(parts, w, b)`` for output gradient ``dout``."""
     f = w.shape[0]
-    wk = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=xp.dtype).reshape(9, c, f)
-    chunks = _chunks(xp, f)
-    g = np.zeros((len(chunks[0][1]), f), dtype=xp.dtype)  # dout on the flat rows
-    tmp = np.empty((len(g), c), dtype=xp.dtype)
+    n, h, wd, c, step = _chunk_plan(parts, f)
+    hp, wp = h + 2, wd + 2
+    dtype = parts[-1].dtype
+    wk = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=dtype).reshape(9, c, f)
+    buf = np.empty((step, hp, wp, c), dtype=dtype)
+    g = np.zeros((step * hp * wp, f), dtype=dtype)  # dout on the flat rows
     dwk = np.zeros_like(wk)
-    dxp = np.zeros_like(xp) if input_grad else None
-    for images, flat, m in chunks:
-        g[: len(flat)].reshape(-1, hp, wp, f)[:, : hp - 2, : wp - 2] = dout[images]  # wrap-around rows stay 0
+    if input_grad:
+        tmp = np.empty((len(g), c), dtype=dtype)
+        dxs = [np.empty_like(p) for p in parts]
+    for k0 in range(0, n, step):
+        images = slice(k0, k0 + step)
+        flat = _pad_chunk(buf, parts, images)
+        m = len(flat) - 2 * wp - 2
+        g[: len(flat)].reshape(-1, hp, wp, f)[:, :h, :wd] = dout[images]  # wrap-around rows stay 0
         for t in range(9):
             s = t // 3 * wp + t % 3
             dwk[t] += flat[s : s + m].T @ g[:m]
-            if input_grad:
-                np.matmul(g[:m], wk[t].T, out=tmp[:m])
-                dxp[images].reshape(-1, c)[s : s + m] += tmp[:m]
+        if not input_grad:
+            continue
+        flat[...] = 0.0  # done with the padded input: its buffer sums the chunk's dx
+        for t in range(9):
+            s = t // 3 * wp + t % 3
+            np.matmul(g[:m], wk[t].T, out=tmp[:m])
+            flat[s : s + m] += tmp[:m]
+        # fold the edge-replicated borders back (reverse of _pad_chunk)
+        dxp = flat.reshape(-1, hp, wp, c)
+        dxp[:, :, 1] += dxp[:, :, 0]
+        dxp[:, :, -2] += dxp[:, :, -1]
+        dxp[:, 1, 1:-1] += dxp[:, 0, 1:-1]
+        dxp[:, -2, 1:-1] += dxp[:, -1, 1:-1]
+        c0 = 0
+        for dx in dxs:
+            inner = dxp[:, 1:-1, 1:-1, c0 : c0 + dx.shape[3]]
+            dx[images] = inner if dx.shape[1] == h else _upsample2_backward(inner)
+            c0 += dx.shape[3]
     dw = dwk.reshape(3, 3, c, f).transpose(3, 2, 0, 1)
     db = dout.reshape(-1, f).sum(axis=0)
-    if not input_grad:
-        return None, dw, db
-    # fold the edge-replicated borders back (reverse of _pad_edge)
-    dxp[:, :, 1, :] += dxp[:, :, 0, :]
-    dxp[:, :, -2, :] += dxp[:, :, -1, :]
-    dxp[:, 1, 1:-1, :] += dxp[:, 0, 1:-1, :]
-    dxp[:, -2, 1:-1, :] += dxp[:, -1, 1:-1, :]
-    return dxp[:, 1:-1, 1:-1, :], dw, db
+    return (dxs if input_grad else None), dw, db
 
 
 def _conv1(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -307,10 +352,6 @@ def _maxpool2_backward(dout: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return dx
 
 
-def _upsample2(x: np.ndarray) -> np.ndarray:
-    return x.repeat(2, axis=1).repeat(2, axis=2)
-
-
 def _upsample2_backward(dout: np.ndarray) -> np.ndarray:
     return (
         dout[:, 0::2, 0::2, :]
@@ -320,21 +361,22 @@ def _upsample2_backward(dout: np.ndarray) -> np.ndarray:
     )
 
 
-def _conv_relu(x, params: SegNetParams, name: str, cache: dict | None):
-    out, xp = _conv3(x, params.view(f"{name}.w"), params.view(f"{name}.b"))
+def _conv_relu(parts, params: SegNetParams, name: str, cache: dict | None):
+    out = _conv3(parts, params.view(f"{name}.w"), params.view(f"{name}.b"))
     np.maximum(out, 0.0, out=out)
     if cache is not None:
-        cache[name] = (xp, out > 0.0)
+        cache[name] = (out > 0.0, *parts)  # a flat tuple of arrays; the parts are references
     return out
 
 
 def _conv_relu_backward(params, grads, name, cache, dout, input_grad: bool = True):
-    xp, relu_mask = cache.pop(name)
-    dpre = dout * relu_mask
-    dx, dw, db = _conv3_backward(xp, params.view(f"{name}.w"), dpre, input_grad)
+    """Gradient per input part (None without ``input_grad``); masks ``dout`` in place."""
+    relu_mask, *parts = cache.pop(name)
+    dout *= relu_mask
+    dxs, dw, db = _conv3_backward(parts, params.view(f"{name}.w"), dout, input_grad)
     grads.view(f"{name}.w")[...] += dw
     grads.view(f"{name}.b")[...] += db
-    return dx
+    return dxs
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +384,11 @@ def _conv_relu_backward(params, grads, name, cache, dout, input_grad: bool = Tru
 
 
 def forward(params: SegNetParams, images: np.ndarray, cache: dict | None = None) -> ForwardOutput:
-    """Run the segmentation network on (N, H, W) images; pass ``cache={}`` to enable backward."""
+    """Run the segmentation network on (N, H, W) images; pass ``cache={}`` to enable backward.
+
+    The cache refers to ``images`` (when already of the compute dtype) and to
+    the returned features rather than copying them: leave both unchanged
+    until ``backward``."""
     cfg = params.cfg
     batch = np.asarray(images, dtype=cfg.dtype)
     if batch.ndim != 3 or batch.shape[1:] != (cfg.height, cfg.width):
@@ -351,16 +397,14 @@ def forward(params: SegNetParams, images: np.ndarray, cache: dict | None = None)
     h = batch[..., None]  # (N, H, W, 1)
     skips = []
     for s in range(stages):
-        h = _conv_relu(h, params, f"enc{s}.conv1", cache)
-        h = _conv_relu(h, params, f"enc{s}.conv2", cache)
+        h = _conv_relu((h,), params, f"enc{s}.conv1", cache)
+        h = _conv_relu((h,), params, f"enc{s}.conv2", cache)
         if s < stages - 1:
             skips.append(h)
             h = _avgpool2(h)
     for s in reversed(range(stages - 1)):
-        h = _upsample2(h)
-        h = np.concatenate([h, skips[s]], axis=3)
-        h = _conv_relu(h, params, f"dec{s}.conv1", cache)
-        h = _conv_relu(h, params, f"dec{s}.conv2", cache)
+        h = _conv_relu((h, skips[s]), params, f"dec{s}.conv1", cache)  # h is upsampled 2x2
+        h = _conv_relu((h,), params, f"dec{s}.conv2", cache)
     logits = _conv1(h, params.view("head.w"), params.view("head.b"))
     if cache is not None:
         cache["features"] = h
@@ -391,22 +435,21 @@ def backward(
     grads.view("head.b")[...] += db
     dh = dx
     if dfeatures is not None:
-        dh = dh + np.asarray(dfeatures, dtype=cfg.dtype)
+        dh += np.asarray(dfeatures, dtype=cfg.dtype)
     stages = len(cfg.widths)
     dskips: dict[int, np.ndarray] = {}
     for s in range(stages - 1):
-        dh = _conv_relu_backward(params, grads, f"dec{s}.conv2", cache, dh)
-        dh = _conv_relu_backward(params, grads, f"dec{s}.conv1", cache, dh)
-        up_ch = cfg.widths[s + 1]
-        dskips[s] = dh[..., up_ch:]
-        dh = _upsample2_backward(dh[..., :up_ch])
+        (dh,) = _conv_relu_backward(params, grads, f"dec{s}.conv2", cache, dh)
+        dh, dskips[s] = _conv_relu_backward(params, grads, f"dec{s}.conv1", cache, dh)
     for s in reversed(range(stages)):
         if s < stages - 1:
             dh = _avgpool2_backward(dh)
-            dh = dh + dskips[s]
-        dh = _conv_relu_backward(params, grads, f"enc{s}.conv2", cache, dh)
-        # the first conv's input is the image batch: nothing reads its gradient
-        dh = _conv_relu_backward(params, grads, f"enc{s}.conv1", cache, dh, input_grad=s > 0)
+            dh += dskips.pop(s)
+        (dh,) = _conv_relu_backward(params, grads, f"enc{s}.conv2", cache, dh)
+        if s > 0:
+            (dh,) = _conv_relu_backward(params, grads, f"enc{s}.conv1", cache, dh)
+    # the first conv's input is the image batch: nothing reads its gradient
+    _conv_relu_backward(params, grads, "enc0.conv1", cache, dh, input_grad=False)
     return grads
 
 
@@ -416,9 +459,9 @@ def project(params: SegNetParams, features: np.ndarray, cache: dict | None = Non
     n, h, w, _ = x.shape
     if h % 4 or w % 4:
         raise ValueError(f"feature size {h}x{w} not divisible by 4")
-    h1 = _conv_relu(x, params, "proj.conv1", cache)
+    h1 = _conv_relu((x,), params, "proj.conv1", cache)
     p1, idx1 = _maxpool2(h1)
-    h2 = _conv_relu(p1, params, "proj.conv2", cache)
+    h2 = _conv_relu((p1,), params, "proj.conv2", cache)
     p2, idx2 = _maxpool2(h2)
     emb = _conv1(p2, params.view("proj.out.w"), params.view("proj.out.b"))
     if cache is not None:
@@ -441,9 +484,9 @@ def project_backward(
     grads.view("proj.out.w")[...] += dw
     grads.view("proj.out.b")[...] += db
     dh2 = _maxpool2_backward(dp2, cache.pop("proj.pool2.idx"))
-    dp1 = _conv_relu_backward(params, grads, "proj.conv2", cache, dh2)
+    (dp1,) = _conv_relu_backward(params, grads, "proj.conv2", cache, dh2)
     dh1 = _maxpool2_backward(dp1, cache.pop("proj.pool1.idx"))
-    dx = _conv_relu_backward(params, grads, "proj.conv1", cache, dh1)
+    (dx,) = _conv_relu_backward(params, grads, "proj.conv1", cache, dh1)
     return dx
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import typing
 from dataclasses import dataclass, field
 from typing import Optional
@@ -105,7 +106,9 @@ def config_to_dict(cfg: TrainConfig) -> dict:
 
 def _is_a(value, tp) -> bool:
     """Whether a JSON value fits a field annotation: an int is no bool, a float
-    may be an int, and a tuple is a list whose elements fit one by one."""
+    may be an int but must be finite as a float (Python's json reads NaN,
+    Infinity and integers of any size), and a tuple is a list whose elements
+    fit one by one."""
     if typing.get_origin(tp) is tuple:
         if not isinstance(value, (list, tuple)):
             return False
@@ -115,7 +118,9 @@ def _is_a(value, tp) -> bool:
         return len(value) == len(args) and all(map(_is_a, value, args))
     if isinstance(value, bool):
         return tp is bool
-    return isinstance(value, (int, float) if tp is float else tp)
+    if tp is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max  # false for NaN
+    return isinstance(value, tp)
 
 
 def _build(cls, data: dict, path: str):
@@ -131,7 +136,7 @@ def _build(cls, data: dict, path: str):
         if dataclasses.is_dataclass(tp):
             kwargs[name] = _build(tp, value, f"{path}.{name}")
         elif not _is_a(value, tp):
-            shown = tp.__name__ if typing.get_origin(tp) is None else tp
+            shown = "finite float" if tp is float else tp.__name__ if typing.get_origin(tp) is None else tp
             raise ConfigError(f"{path}.{name}: expected {shown}, got {json.dumps(value, default=repr)}")
         else:
             kwargs[name] = tuple(value) if isinstance(value, list) else value

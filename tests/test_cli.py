@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from switchlab.cli import main
 from switchlab.mss import MssConfig
 from switchlab.network import NetConfig
 from switchlab.synthdata import SynthConfig
-from switchlab.trainer import DataConfig, TrainConfig, save_config
+from switchlab.trainer import DataConfig, TrainConfig, config_to_dict, save_config
 
 
 @pytest.fixture()
@@ -124,6 +126,36 @@ def test_config_value_of_the_wrong_type_is_a_config_error(workdir, capsys, key, 
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"config error: config.{key}: expected {shown}, got {json.dumps(value)}"]
     assert not (workdir / "ckpt").exists()
+
+
+def _float_fields(cls, path=()):
+    """Key paths of the float fields of a config class, nested ones included."""
+    for name, tp in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(tp):
+            yield from _float_fields(tp, (*path, name))
+        elif tp is float:
+            yield (*path, name)
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), 10**400], ids=["nan", "inf", "-inf", "int_past_float"]
+)
+def test_non_finite_float_in_a_config_is_a_config_error(tmp_path, capsys, value):
+    fields = list(_float_fields(TrainConfig))
+    assert len(fields) == 13
+    for keys in fields:
+        cfg = config_to_dict(TrainConfig())
+        node = cfg
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        bad = tmp_path / "bad_float.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["pretrain", "--config", str(bad), "--out", str(tmp_path / "ckpt")]) == 2, keys
+        err = capsys.readouterr().err.strip().splitlines()
+        shown = ".".join(("config", *keys))
+        assert err == [f"config error: {shown}: expected finite float, got {json.dumps(value)}"]
+        assert not (tmp_path / "ckpt").exists()
 
 
 def test_data_error_exit_code(workdir):

@@ -243,13 +243,12 @@ def test_conv3_matches_direct_sums_across_chunks(monkeypatch, dtype, channels):
     x = rng.normal(size=(n, h, wd, channels)).astype(dtype)
     w = rng.normal(size=(f, channels, 3, 3))
     b = rng.normal(size=f)
-    one_chunk, _ = network._conv3(x, w, b)
+    one_chunk = network._conv3((x,), w, b)
     # two images per chunk: chunks of 2, 2 and a partial 1
     per_image = (h + 2) * (wd + 2) * max(channels, f) * np.dtype(dtype).itemsize
     monkeypatch.setattr(network, "_CONV_CHUNK_BYTES", 2 * per_image)
-    out, xp = network._conv3(x, w, b)
+    out = network._conv3((x,), w, b)
     assert out.dtype == dtype and out.flags.c_contiguous and out.shape == (n, h, wd, f)
-    assert np.array_equal(xp[:, 1:-1, 1:-1], x)
     tol = 1e-5 if dtype == np.float32 else 1e-12
     np.testing.assert_allclose(out, conv3_edge_loops(x, w, b), rtol=tol, atol=tol)
     # chunking regroups whole images only, so every output bit stays the same
@@ -265,12 +264,11 @@ def test_conv3_backward_matches_direct_sums_across_chunks(monkeypatch, channels,
     x = rng.normal(size=(n, h, wd, channels)).astype(dtype)
     w = rng.normal(size=(f, channels, 3, 3))
     dout = rng.normal(size=(n, h, wd, f)).astype(dtype)
-    _, xp = network._conv3(x, w, np.zeros(f))
-    one_dx, one_dw, one_db = network._conv3_backward(xp, w, dout, input_grad)
+    one_dxs, one_dw, one_db = network._conv3_backward((x,), w, dout, input_grad)
     # two images per chunk: chunks of 2, 2 and a partial 1
     per_image = (h + 2) * (wd + 2) * max(channels, f) * np.dtype(dtype).itemsize
     monkeypatch.setattr(network, "_CONV_CHUNK_BYTES", 2 * per_image)
-    dx, dw, db = network._conv3_backward(xp, w, dout, input_grad)
+    dxs, dw, db = network._conv3_backward((x,), w, dout, input_grad)
     ref_dx, ref_dw, ref_db = conv3_backward_edge_loops(x, w, dout)
     tol = 1e-5 if dtype == np.float32 else 1e-12
     assert dw.dtype == db.dtype == dtype and dw.shape == w.shape
@@ -280,8 +278,9 @@ def test_conv3_backward_matches_direct_sums_across_chunks(monkeypatch, channels,
     np.testing.assert_allclose(dw, one_dw, rtol=tol, atol=tol)
     assert db.tobytes() == one_db.tobytes()
     if not input_grad:
-        assert dx is None and one_dx is None
+        assert dxs is None and one_dxs is None
         return
+    (dx,), (one_dx,) = dxs, one_dxs
     assert dx.dtype == dtype and dx.shape == x.shape
     np.testing.assert_allclose(dx, ref_dx, rtol=tol, atol=tol)
     # each dx element sums its taps in order, whatever the chunks. With one
@@ -292,13 +291,61 @@ def test_conv3_backward_matches_direct_sums_across_chunks(monkeypatch, channels,
         assert np.ascontiguousarray(dx).tobytes() == np.ascontiguousarray(one_dx).tobytes()
 
 
+@pytest.mark.parametrize("images_per_chunk", [1, 2, 5])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv3_of_an_upsampled_part_and_a_skip_equals_the_conv_of_their_concatenation(
+    monkeypatch, dtype, images_per_chunk
+):
+    rng = np.random.default_rng(13)
+    n, h, wd, ca, cs, f = 5, 4, 6, 3, 2, 4
+    a = rng.normal(size=(n, h // 2, wd // 2, ca)).astype(dtype)  # repeated 2x2 by the conv
+    skip = rng.normal(size=(n, h, wd, cs)).astype(dtype)
+    w = rng.normal(size=(f, ca + cs, 3, 3))
+    b = rng.normal(size=f)
+    dout = rng.normal(size=(n, h, wd, f)).astype(dtype)
+    per_image = (h + 2) * (wd + 2) * max(ca + cs, f) * np.dtype(dtype).itemsize
+    monkeypatch.setattr(network, "_CONV_CHUNK_BYTES", images_per_chunk * per_image)
+    x = np.concatenate([a.repeat(2, axis=1).repeat(2, axis=2), skip], axis=3)
+    out = network._conv3((a, skip), w, b)
+    assert out.tobytes() == network._conv3((x,), w, b).tobytes()
+    (da, dskip), dw, db = network._conv3_backward((a, skip), w, dout.copy())
+    (dx,), ref_dw, ref_db = network._conv3_backward((x,), w, dout.copy())
+    assert dw.tobytes() == ref_dw.tobytes() and db.tobytes() == ref_db.tobytes()
+    assert da.shape == a.shape and dskip.shape == skip.shape
+    assert da.tobytes() == network._upsample2_backward(dx[..., :ca]).tobytes()
+    assert dskip.tobytes() == np.ascontiguousarray(dx[..., ca:]).tobytes()
+
+
 def test_conv3_backward_without_input_gradient_keeps_the_weight_gradient():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(3, 5, 6, 2))
     w = rng.normal(size=(4, 2, 3, 3))
-    _, xp = network._conv3(x, w, np.zeros(4))
     dout = rng.normal(size=(3, 5, 6, 4))
-    dx, dw, db = network._conv3_backward(xp, w, dout)
-    none, dw_only, db_only = network._conv3_backward(xp, w, dout, input_grad=False)
+    (dx,), dw, db = network._conv3_backward((x,), w, dout)
+    none, dw_only, db_only = network._conv3_backward((x,), w, dout, input_grad=False)
     assert dx.shape == x.shape and none is None
     assert np.array_equal(dw, dw_only) and np.array_equal(db, db_only)
+
+
+def test_forward_and_backward_keep_no_padded_or_upsampled_copies():
+    # widths of the published config at 64x64, float64, 16 images. A conv
+    # cache of edge-padded, upsampled and concatenated input copies, with a
+    # full-batch padded input gradient in the backward, peaks at 69.4 MiB
+    # here; caching references to arrays the forward keeps anyway, plus the
+    # bool ReLU masks, peaks at 51.2 MiB.
+    import tracemalloc
+
+    cfg = NetConfig(height=64, width=64, widths=(8, 16, 32), embed_dim=8)
+    params = init_params(cfg, np.random.default_rng(14))
+    images = np.random.default_rng(15).uniform(size=(16, 64, 64))
+    dlogits = np.random.default_rng(16).normal(size=(16, 2, 64, 64))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cache = {}
+        forward(params, images, cache)
+        backward(params, cache, dlogits)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20, f"forward+backward peak {peak / 2**20:.1f} MiB"
