@@ -27,11 +27,15 @@ passes, with no window copies: flattened to rows, each tap is one
 contiguous slice of it. The padded input exists one chunk of images at a
 time, in a reused buffer; a decoder conv1 reads the half-resolution
 decoder activation and the skip as two parts and upsamples and
-concatenates them only inside that buffer. The backward cache of a conv is
-its bool ReLU mask plus references to its input parts, arrays the forward
-keeps anyway (the image, a ReLU output, a pooled input), and the backward
-pads each chunk again. The weight gradient sums over the flat rows chunk
-by chunk; see the comment on the primitive layers.
+concatenates them only inside that buffer. The tap GEMMs, except the
+weight gradient's, run over cache-sized bands of a chunk's rows, and a
+conv with one input channel (the first) runs as multiply-adds of a weight
+and a shifted image plane instead; neither changes a bit of the results.
+The backward cache of a conv is its bool ReLU mask plus references to its
+input parts, arrays the forward keeps anyway (the image, a ReLU output, a
+pooled input), and the backward pads each chunk again. The weight gradient
+sums over the flat rows chunk by chunk; see the comment on the primitive
+layers.
 """
 
 from __future__ import annotations
@@ -169,34 +173,44 @@ class ForwardOutput(NamedTuple):
 # ---------------------------------------------------------------------------
 # primitive layers (channels-last activations)
 #
-# 3x3 convolutions run as nine GEMMs, one per tap, over the edge-padded
-# input; neither pass copies a window. A conv's input is the channel-wise
-# concatenation of its parts: one array, or for a decoder conv1 the
-# half-resolution decoder activation (repeated 2x2, nearest-neighbor
-# upsampling) and then the skip. No full-batch padded, upsampled or
-# concatenated input is ever built: both passes walk chunks of whole images,
-# at most _CONV_CHUNK_BYTES of padded input and of one tap's product, and
-# write each chunk's padded input into one reused chunk-sized buffer, so the
-# buffers stay in cache (one image at 256x256 float64). The backward cache of
-# a conv is its bool ReLU mask plus references to its parts, arrays the
-# forward keeps anyway; the backward pads each chunk again.
+# 3x3 convolutions run over the edge-padded input; neither pass copies a
+# window. A conv's input is the channel-wise concatenation of its parts: one
+# array, or for a decoder conv1 the half-resolution decoder activation
+# (repeated 2x2, nearest-neighbor upsampling) and then the skip. No
+# full-batch padded, upsampled or concatenated input is ever built: both
+# passes walk chunks of whole images, at most _CONV_CHUNK_BYTES of padded
+# input and of one tap's product, and write each chunk's padded input into
+# one reused chunk-sized buffer (one image at 256x256 float64). The backward
+# cache of a conv is its bool ReLU mask plus references to its parts, arrays
+# the forward keeps anyway; the backward pads each chunk again.
 #
 # Flatten a chunk's padded input to rows of C values: output pixel (i, j) is
 # row p = i*(W+2) + j, and its tap (di, dj) is row p + di*(W+2) + dj, so each
-# tap is one contiguous slice. Of the W+2 output rows per image row, the two
-# wrap-around rows are dropped from the forward's products and are zero in
-# the backward's output gradient. The backward reads a chunk's padded input
-# for dW, then sums the chunk's dx on the same buffer's rows, folds the
-# borders back and hands each part its share (an upsampled part the sum over
-# each 2x2 block). A forward output sums the bias and then its nine taps in
-# order, and a dx element its taps in order, each a dot product over
-# channels, so their bits do not depend on the chunking (with C = 1, BLAS may
-# round dx's matrix-vector products by row position). dW sums each tap's
-# product chunk by chunk.
+# tap is one contiguous slice and one GEMM. Of the W+2 output rows per image
+# row, the two wrap-around rows are dropped from the forward's products and
+# are zero in the backward's output gradient. The tap GEMMs run over bands
+# of those rows whose tap product fits _CONV_BAND_BYTES, an L2-sized block,
+# so a band's product and output stay in cache through its nine taps: runs
+# of image rows inside one image, or the whole chunk when one image fits (as
+# at 64x64). The forward sets an output band to the bias, then adds the nine
+# taps' products in order. The backward reads a chunk's padded input for dW,
+# one GEMM per tap over the whole chunk, then sums the chunk's dx on the same
+# buffer's rows band by band (dx row q takes g[q - s] @ W_t^T for the taps t,
+# at row offsets s, in order, where that row of g exists), folds the borders
+# back and hands each part its share (an upsampled part the sum over each 2x2
+# block). A conv with one input channel would run K = 1 GEMMs; it runs per
+# output channel as nine multiply-adds of a weight times a shifted plane of
+# the padded chunk, the same single products in the same order. So a forward
+# output and a dx element each sum the same products in the same order
+# whatever the chunks and bands, and their bits do not depend on them (with
+# C = 1, BLAS may round dx's matrix-vector products by row position). dW sums
+# each tap's product chunk by chunk.
 
 
 # bytes of padded input, and of one tap's product, per chunk of the 3x3 conv
 _CONV_CHUNK_BYTES = 4 << 20
+# bytes of one tap's product per band of a chunk's rows: an L2-sized block
+_CONV_BAND_BYTES = 256 << 10
 
 
 def _chunk_plan(parts, f: int) -> tuple[int, int, int, int, int]:
@@ -206,6 +220,22 @@ def _chunk_plan(parts, f: int) -> tuple[int, int, int, int, int]:
     c = sum(p.shape[3] for p in parts)
     step = max(1, _CONV_CHUNK_BYTES // ((h + 2) * (wd + 2) * max(c, f) * parts[-1].dtype.itemsize))
     return n, h, wd, c, min(step, n)
+
+
+def _band_rows(h: int, wp: int, width: int, itemsize: int) -> int:
+    """Image rows per band, of ``wp`` flat rows each, when one tap's product is
+    ``width`` wide: ``h``, the whole chunk, when one image of ``h`` rows fits
+    _CONV_BAND_BYTES, else as many rows as fit, at least one."""
+    rows = _CONV_BAND_BYTES // (wp * width * itemsize)
+    return h if rows >= h else max(1, rows)
+
+
+def _bands(k: int, h: int, rows: int) -> list[tuple[int, int, int, int]]:
+    """(first image, first row, images, rows) of each band of a chunk of ``k``
+    images of ``h`` rows: the whole chunk, or runs of ``rows`` rows inside one image."""
+    if rows == h:
+        return [(0, 0, k, h)]
+    return [(j, i0, 1, min(rows, h - i0)) for j in range(k) for i0 in range(0, h, rows)]
 
 
 def _pad_chunk(buf: np.ndarray, parts, images: slice) -> np.ndarray:
@@ -233,22 +263,44 @@ def _conv3(parts, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """3x3 edge-padded conv of the concatenation of ``parts`` (see above)."""
     f = w.shape[0]
     n, h, wd, c, step = _chunk_plan(parts, f)
+    hp, wp = h + 2, wd + 2
     dtype = parts[-1].dtype
     wk = np.ascontiguousarray(w.transpose(2, 3, 1, 0), dtype=dtype).reshape(9, c, f)
+    bias = b.astype(dtype)
     out = np.empty((n, h, wd, f), dtype=dtype)
-    out[:] = b.astype(dtype)
-    buf = np.empty((step, h + 2, wd + 2, c), dtype=dtype)
-    tmp = np.empty((step * (h + 2) * (wd + 2), f), dtype=dtype)
+    buf = np.empty((step, hp, wp, c), dtype=dtype)
+    if c == 1:
+        planes = np.empty((f, step, h, wd), dtype=dtype)  # channels-first, one plane per output channel
+        term = np.empty((step, h, wd), dtype=dtype)
+    else:
+        rows = _band_rows(h, wp, f, dtype.itemsize)
+        tmp = np.empty(((step * hp if rows == h else rows) * wp, f), dtype=dtype)
     for k0 in range(0, n, step):
         images = slice(k0, k0 + step)
         flat = _pad_chunk(buf, parts, images)
-        m = len(flat) - 2 * (wd + 2) - 2  # the last real pixel is row m - 1, its (2, 2) tap the last row
-        acc = out[images]
-        prod = tmp[: len(flat)].reshape(-1, h + 2, wd + 2, f)[:, :h, :wd]  # drops the wrap-around rows
-        for t in range(9):  # tap (di, dj) = divmod(t, 3)
-            s = t // 3 * (wd + 2) + t % 3
-            np.matmul(flat[s : s + m], wk[t], out=tmp[:m])
-            acc += prod
+        k = len(flat) // (hp * wp)
+        if c == 1:  # per output channel, the bias plus nine weight-times-plane products
+            xp = flat.reshape(k, hp, wp)
+            for o in range(f):
+                plane = planes[o, :k]
+                plane[...] = bias[o]
+                for t in range(9):
+                    di, dj = divmod(t, 3)
+                    np.multiply(xp[:, di : di + h, dj : dj + wd], wk[t, 0, o], out=term[:k])
+                    plane += term[:k]
+            out[images] = planes[:, :k].transpose(1, 2, 3, 0)
+            continue
+        for j, i0, nimg, nr in _bands(k, h, rows):
+            p0 = (j * hp + i0) * wp
+            cnt = ((nimg - 1) * hp + nr) * wp - 2  # the band's last real pixel is row cnt - 1
+            rs = hp if nr == h else nr  # rows per image in the band's product
+            prod = tmp[: nimg * rs * wp].reshape(nimg, rs, wp, f)[:, :nr, :wd]  # drops the wrap-around rows
+            acc = out[k0 + j : k0 + j + nimg, i0 : i0 + nr]
+            acc[...] = bias
+            for t in range(9):  # tap (di, dj) = divmod(t, 3)
+                s = p0 + t // 3 * wp + t % 3
+                np.matmul(flat[s : s + cnt], wk[t], out=tmp[:cnt])
+                acc += prod
     return out
 
 
@@ -263,7 +315,8 @@ def _conv3_backward(parts, w, dout, input_grad: bool = True):
     g = np.zeros((step * hp * wp, f), dtype=dtype)  # dout on the flat rows
     dwk = np.zeros_like(wk)
     if input_grad:
-        tmp = np.empty((len(g), c), dtype=dtype)
+        rows = _band_rows(hp, wp, c, dtype.itemsize)
+        tmp = np.empty(((step if rows == hp else 1) * rows * wp, c), dtype=dtype)
         dxs = [np.empty_like(p) for p in parts]
     for k0 in range(0, n, step):
         images = slice(k0, k0 + step)
@@ -275,11 +328,17 @@ def _conv3_backward(parts, w, dout, input_grad: bool = True):
             dwk[t] += flat[s : s + m].T @ g[:m]
         if not input_grad:
             continue
-        flat[...] = 0.0  # done with the padded input: its buffer sums the chunk's dx
-        for t in range(9):
-            s = t // 3 * wp + t % 3
-            np.matmul(g[:m], wk[t].T, out=tmp[:m])
-            flat[s : s + m] += tmp[:m]
+        # done with the padded input: its buffer sums the chunk's dx, band by band
+        for j, i0, nimg, nr in _bands(len(flat) // (hp * wp), hp, rows):
+            q0 = (j * hp + i0) * wp
+            q1 = q0 + nimg * nr * wp
+            flat[q0:q1] = 0.0
+            for t in range(9):  # dx row q takes g[q - s] @ W_t^T where that row exists
+                s = t // 3 * wp + t % 3
+                lo, hi = max(q0, s), min(q1, s + m)
+                if lo < hi:
+                    np.matmul(g[lo - s : hi - s], wk[t].T, out=tmp[: hi - lo])
+                    flat[lo:hi] += tmp[: hi - lo]
         # fold the edge-replicated borders back (reverse of _pad_chunk)
         dxp = flat.reshape(-1, hp, wp, c)
         dxp[:, :, 1] += dxp[:, :, 0]
@@ -422,20 +481,19 @@ def backward(
 
     ``dlogits`` is the upstream gradient at the logits; ``dfeatures``
     optionally adds a gradient arriving at the channels-last decoder feature
-    map (the projector path). Returns a gradient vector aligned with the
-    layout. The cache is consumed: each entry is dropped once its layer is done.
+    map (the projector path) of the leading ``len(dfeatures)`` images only.
+    Returns a gradient vector aligned with the layout. The cache is consumed:
+    each entry is dropped once its layer is done, the features after the head.
     """
     cfg = params.cfg
     if grads is None:
         grads = SegNetParams(cfg)
     dlogits = np.asarray(dlogits, dtype=cfg.dtype).transpose(0, 2, 3, 1)  # to channels-last
-    features = cache.pop("features")
-    dx, dw, db = _conv1_backward(features, params.view("head.w"), dlogits)
+    dh, dw, db = _conv1_backward(cache.pop("features"), params.view("head.w"), dlogits)
     grads.view("head.w")[...] += dw
     grads.view("head.b")[...] += db
-    dh = dx
     if dfeatures is not None:
-        dh += np.asarray(dfeatures, dtype=cfg.dtype)
+        dh[: len(dfeatures)] += np.asarray(dfeatures, dtype=cfg.dtype)
     stages = len(cfg.widths)
     dskips: dict[int, np.ndarray] = {}
     for s in range(stages - 1):

@@ -51,8 +51,11 @@ def read_mask_pgm(path) -> np.ndarray:
 
 
 def _read_p5(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read PGM {path}: {exc.strerror}") from exc
     tokens = []
     pos = 0
     # header = 4 whitespace-separated tokens, '#' comments allowed

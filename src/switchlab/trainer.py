@@ -361,9 +361,9 @@ def selftrain_loss_and_grad(
         keys, _ = losses.l2_normalize_positions(keys)
         comp["contrastive"], dh = losses.infonce_grad(h, keys, w.temperature, w.include_positive_in_denominator)
         dh = losses.l2_normalize_backward(h, h_norms, w.lambda_contrastive * dh)
-        dfeat = np.zeros_like(out.features)
-        dfeat[: 2 * n] = network.project_backward(student, pcache, dh, grads)
+        dfeat = network.project_backward(student, pcache, dh, grads)  # the first 2n images' rows
 
+    del out  # the cache alone holds the features, so the backward frees them after the head
     network.backward(student, cache, dlog, dfeat, grads)
     comp["total"] = losses.total_loss(comp["mss"], comp["contrastive"], comp["consistency"], w)
     return comp, grads

@@ -369,6 +369,24 @@ def test_eval_of_an_empty_split_is_a_data_error(workdir, capsys):
     assert not (workdir / "report" / "metrics_val.json").exists()
 
 
+@pytest.mark.parametrize("kind", ["img", "msk"])
+def test_unreadable_dataset_image_is_a_data_error(workdir, capsys, kind):
+    # the path exists but cannot be read as a file
+    cfg = str(workdir / "config.json")
+    assert main(["gen-data", "--config", cfg]) == 0
+    val_id = json.loads((workdir / "data" / "manifest.json").read_text())["val"][0]["id"]
+    path = workdir / "data" / "val" / f"{kind}_{val_id}.pgm"
+    path.unlink()
+    path.mkdir()
+    ckpt = workdir / "init.bin"
+    net = NetConfig(height=32, width=32, widths=(3, 4), embed_dim=4)
+    network.save_params(ckpt, network.init_params(net, np.random.default_rng(0)))
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, "--ckpt", str(ckpt), "--split", "val", "--out", str(workdir / "report")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"data error: cannot read PGM {path}: Is a directory"]
+
+
 def test_fds_demo_takes_its_pair_from_the_images_that_exist(workdir, capsys):
     # the pair is the first labeled image and the first val image, or without val items the first test image
     for name, ratios, part_b in [("with_val", [0.8, 0.1, 0.1], "val"), ("no_val", [0.9, 0.0, 0.1], "test")]:

@@ -349,3 +349,142 @@ def test_forward_and_backward_keep_no_padded_or_upsampled_copies():
     finally:
         tracemalloc.stop()
     assert peak < 60 * 2**20, f"forward+backward peak {peak / 2**20:.1f} MiB"
+
+
+def _band_budget(monkeypatch, rows, images_per_chunk, h, wd, width, itemsize):
+    """Chunks of ``images_per_chunk`` images and bands of ``rows`` image rows of
+    a conv whose input and output are ``width`` channels wide; ``rows=None``
+    makes a band of the whole chunk."""
+    wp = wd + 2
+    per_image = (h + 2) * wp * width * itemsize
+    monkeypatch.setattr(network, "_CONV_CHUNK_BYTES", images_per_chunk * per_image)
+    monkeypatch.setattr(network, "_CONV_BAND_BYTES", per_image if rows is None else rows * wp * width * itemsize)
+
+
+# (image rows per band, images per chunk): bands of one row; of three rows,
+# which leaves a partial band in the forward's 5 or 8 rows per image and in
+# the 7 or 10 padded rows the backward's dx bands walk; of one whole image;
+# of several whole images.
+BAND_CASES = {"one_row": (1, 2), "partial_band": (3, 2), "one_image": (None, 1), "several_images": (None, 3)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", BAND_CASES)
+def test_conv3_bands_keep_every_bit_and_match_direct_sums(monkeypatch, case, dtype):
+    rng = np.random.default_rng(17)
+    n, h, wd, c = 5, 5, 7, 3  # input and output both c wide, so both passes band alike
+    x = rng.normal(size=(n, h, wd, c)).astype(dtype)
+    w = rng.normal(size=(c, c, 3, 3))
+    b = rng.normal(size=c)
+    dout = rng.normal(size=(n, h, wd, c)).astype(dtype)
+    one_out = network._conv3((x,), w, b)  # the whole batch is one chunk and one band
+    (one_dx,), one_dw, one_db = network._conv3_backward((x,), w, dout)
+    rows, images = BAND_CASES[case]
+    _band_budget(monkeypatch, rows, images, h, wd, c, np.dtype(dtype).itemsize)
+    out = network._conv3((x,), w, b)
+    (dx,), dw, db = network._conv3_backward((x,), w, dout)
+    ref_dx, ref_dw, ref_db = conv3_backward_edge_loops(x, w, dout)
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    np.testing.assert_allclose(out, conv3_edge_loops(x, w, b), rtol=tol, atol=tol)
+    np.testing.assert_allclose(dx, ref_dx, rtol=tol, atol=tol)
+    np.testing.assert_allclose(dw, ref_dw, rtol=tol, atol=tol)
+    np.testing.assert_allclose(db, ref_db, rtol=tol, atol=tol)
+    # each output and dx element sums the same products in the same order
+    assert out.tobytes() == one_out.tobytes()
+    assert dx.tobytes() == one_dx.tobytes()
+    assert db.tobytes() == one_db.tobytes()
+    np.testing.assert_allclose(dw, one_dw, rtol=tol, atol=tol)  # dW sums chunk by chunk
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", BAND_CASES)
+def test_conv3_bands_of_an_upsampled_part_and_a_skip_keep_every_bit(monkeypatch, case, dtype):
+    rng = np.random.default_rng(18)
+    n, h, wd, ca, cs = 3, 8, 4, 2, 2  # input and output both ca + cs wide
+    f = ca + cs
+    a = rng.normal(size=(n, h // 2, wd // 2, ca)).astype(dtype)
+    skip = rng.normal(size=(n, h, wd, cs)).astype(dtype)
+    w = rng.normal(size=(f, f, 3, 3))
+    b = rng.normal(size=f)
+    dout = rng.normal(size=(n, h, wd, f)).astype(dtype)
+    one_out = network._conv3((a, skip), w, b)
+    (one_da, one_dskip), _, _ = network._conv3_backward((a, skip), w, dout.copy())
+    rows, images = BAND_CASES[case]
+    _band_budget(monkeypatch, rows, images, h, wd, f, np.dtype(dtype).itemsize)
+    out = network._conv3((a, skip), w, b)
+    (da, dskip), dw, db = network._conv3_backward((a, skip), w, dout.copy())
+    x = np.concatenate([a.repeat(2, axis=1).repeat(2, axis=2), skip], axis=3)
+    ref_dx, ref_dw, _ = conv3_backward_edge_loops(x, w, dout)
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    np.testing.assert_allclose(out, conv3_edge_loops(x, w, b), rtol=tol, atol=tol)
+    np.testing.assert_allclose(da, network._upsample2_backward(ref_dx[..., :ca]), rtol=tol, atol=tol)
+    np.testing.assert_allclose(dskip, ref_dx[..., ca:], rtol=tol, atol=tol)
+    np.testing.assert_allclose(dw, ref_dw, rtol=tol, atol=tol)
+    assert out.tobytes() == one_out.tobytes()
+    assert da.tobytes() == one_da.tobytes() and dskip.tobytes() == one_dskip.tobytes()
+
+
+@pytest.mark.parametrize("images_per_chunk", [1, 2, 4])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_channel_conv3_sums_the_bias_and_its_taps_in_order(monkeypatch, dtype, images_per_chunk):
+    rng = np.random.default_rng(19)
+    n, h, wd, f = 4, 5, 6, 3
+    x = rng.normal(size=(n, h, wd, 1)).astype(dtype)
+    w = rng.normal(size=(f, 1, 3, 3))
+    b = rng.normal(size=f)
+    per_image = (h + 2) * (wd + 2) * f * np.dtype(dtype).itemsize
+    monkeypatch.setattr(network, "_CONV_CHUNK_BYTES", images_per_chunk * per_image)
+    out = network._conv3((x,), w, b)
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    np.testing.assert_allclose(out, conv3_edge_loops(x, w, b), rtol=tol, atol=tol)
+    # direct sums in the compute dtype: the bias, then tap by tap one rounded
+    # product each, as the K = 1 GEMMs that this path replaces gave them
+    xp = np.pad(x[..., 0], ((0, 0), (1, 1), (1, 1)), mode="edge")
+    wt = w.astype(dtype)
+    ref = np.empty_like(out)
+    for o in range(f):
+        acc = np.full((n, h, wd), b[o], dtype=dtype)
+        for di in range(3):
+            for dj in range(3):
+                acc = acc + xp[:, di : di + h, dj : dj + wd] * wt[o, 0, di, dj]
+        ref[..., o] = acc
+    assert out.dtype == dtype and out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("compute_dtype", ["float32", "float64"])
+def test_network_outputs_and_gradient_do_not_depend_on_the_band_size(monkeypatch, compute_dtype):
+    cfg = NetConfig(height=16, width=24, widths=(3, 5), embed_dim=4, compute_dtype=compute_dtype)
+    params = init_params(cfg, np.random.default_rng(20))
+    rng = np.random.default_rng(21)
+    images = rng.uniform(size=(3, 16, 24))
+    dlogits = rng.normal(size=(3, 2, 16, 24))
+    demb = rng.normal(size=(2, 4, 24))
+
+    def run():
+        cache, pcache = {}, {}
+        out = forward(params, images, cache)
+        emb = project(params, out.features[:2], pcache)
+        grads = SegNetParams(cfg)
+        dfeat = project_backward(params, pcache, demb, grads)
+        backward(params, cache, dlogits, dfeat, grads)
+        return out.logits, emb, grads.vector
+
+    whole = run()  # every image fits one band
+    monkeypatch.setattr(network, "_CONV_BAND_BYTES", 1)  # bands of one image row
+    for a, b in zip(whole, run()):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_feature_gradient_of_the_leading_images_equals_a_zero_padded_one():
+    rng = np.random.default_rng(22)
+    params = init_params(TINY, rng)
+    images = rng.uniform(size=(4, 16, 16))
+    dlogits = rng.normal(size=(4, 2, 16, 16))
+    dfeat = rng.normal(size=(2, 16, 16, 3))
+    padded = np.concatenate([dfeat, np.zeros_like(dfeat)])
+    grads = []
+    for d in (dfeat, padded):
+        cache = {}
+        forward(params, images, cache)
+        grads.append(backward(params, cache, dlogits.copy(), d).vector)
+    assert np.array_equal(grads[0], grads[1])
