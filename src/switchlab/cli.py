@@ -14,6 +14,7 @@ JSON. Exit codes: 0 success, 2 config error, 3 data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -31,12 +32,24 @@ def _make_out_dir(path) -> None:
         raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an OSError raised while writing ``path``, or files under it, into a ConfigError
+    naming the file that failed."""
+    try:
+        yield
+    except OSError as exc:
+        target = exc.filename2 or exc.filename or path  # os.replace names its destination second
+        raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from exc
+
+
 def _cmd_gen_data(args) -> int:
     cfg = trainer.load_config(args.config)
     root = args.out or cfg.data.dir
     _make_out_dir(root)
     split = synthdata.make_dataset(cfg.data.synth, cfg.data.labeled_ratio, cfg.data.split_ratios)
-    synthdata.save_dataset(split, root)
+    with _writing(root):
+        synthdata.save_dataset(split, root)
     counts = {name: len(ids) for name, ids in split.id_sets().items()}
     print(f"wrote dataset to {root}: {counts}")
     if args.fds_demo:
@@ -48,10 +61,11 @@ def _cmd_gen_data(args) -> int:
         _make_out_dir(demo_dir)
         a, b = pool[0].image, pool[1].image
         a_r, b_r = fds.fds_pair(a, b, cfg.fds)
-        pgm.write_pgm(os.path.join(demo_dir, "pair_a_before.pgm"), a)
-        pgm.write_pgm(os.path.join(demo_dir, "pair_b_before.pgm"), b)
-        pgm.write_pgm(os.path.join(demo_dir, "pair_a_after.pgm"), np.clip(a_r, 0, 1))
-        pgm.write_pgm(os.path.join(demo_dir, "pair_b_after.pgm"), np.clip(b_r, 0, 1))
+        with _writing(demo_dir):
+            pgm.write_pgm(os.path.join(demo_dir, "pair_a_before.pgm"), a)
+            pgm.write_pgm(os.path.join(demo_dir, "pair_b_before.pgm"), b)
+            pgm.write_pgm(os.path.join(demo_dir, "pair_a_after.pgm"), np.clip(a_r, 0, 1))
+            pgm.write_pgm(os.path.join(demo_dir, "pair_b_after.pgm"), np.clip(b_r, 0, 1))
         print(f"wrote frequency-switch demo pairs to {demo_dir}")
     return 0
 
@@ -77,15 +91,17 @@ def _run_logged(out, log_name, run_phase) -> trainer.PhaseResult:
     try:
         return run_phase(log)
     finally:
-        log.write(os.path.join(out, log_name))
+        with _writing(out):
+            log.write(os.path.join(out, log_name))
 
 
 def _cmd_pretrain(args) -> int:
     cfg, data = _load_run(args)
     result = _run_logged(args.out, "pretrain_log.jsonl", lambda log: trainer.pretrain(cfg, data, log))
-    network.save_params(os.path.join(args.out, "pretrain_student.bin"), result.student)
-    if result.best is not None:
-        network.save_params(os.path.join(args.out, "pretrain_student_best.bin"), result.best)
+    with _writing(args.out):
+        network.save_params(os.path.join(args.out, "pretrain_student.bin"), result.student)
+        if result.best is not None:
+            network.save_params(os.path.join(args.out, "pretrain_student_best.bin"), result.best)
     print(f"pretrained {cfg.pretrain_iters} iters; best val dice {result.best_val_dice}")
     return 0
 
@@ -94,10 +110,11 @@ def _cmd_train(args) -> int:
     cfg, data = _load_run(args)
     init = network.load_params(args.init, cfg.net)
     result = _run_logged(args.out, "train_log.jsonl", lambda log: trainer.self_train(cfg, data, init, log))
-    network.save_params(os.path.join(args.out, "student.bin"), result.student)
-    network.save_params(os.path.join(args.out, "teacher.bin"), result.teacher)
-    if result.best is not None:
-        network.save_params(os.path.join(args.out, f"{cfg.eval_with}_best.bin"), result.best)
+    with _writing(args.out):
+        network.save_params(os.path.join(args.out, "student.bin"), result.student)
+        network.save_params(os.path.join(args.out, "teacher.bin"), result.teacher)
+        if result.best is not None:
+            network.save_params(os.path.join(args.out, f"{cfg.eval_with}_best.bin"), result.best)
     print(f"self-trained {cfg.selftrain_iters} iters; best val dice {result.best_val_dice}")
     return 0
 
@@ -111,10 +128,11 @@ def _cmd_eval(args) -> int:
         raise DataError(f"dataset {cfg.data.dir} has no {args.split} items to evaluate")
     params = network.load_params(args.ckpt, cfg.net)
     report = trainer.evaluate(params, items, use_lcc=args.lcc)
-    report.write_csv(os.path.join(args.out, f"metrics_{args.split}.csv"))
     agg = report.aggregate()
-    with open(os.path.join(args.out, f"metrics_{args.split}.json"), "w", encoding="ascii") as fh:
-        json.dump(agg, fh, indent=1, sort_keys=True)
+    with _writing(args.out):
+        report.write_csv(os.path.join(args.out, f"metrics_{args.split}.csv"))
+        with open(os.path.join(args.out, f"metrics_{args.split}.json"), "w", encoding="ascii") as fh:
+            json.dump(agg, fh, indent=1, sort_keys=True)
     print(json.dumps(agg, sort_keys=True))
     return 0
 
@@ -123,10 +141,11 @@ def _cmd_analyze_strategy(args) -> int:
     report = trainer.strategy_analysis(args.iters, args.size, args.size, args.seed)
     _make_out_dir(args.out)
     maps = report.pop("probability_maps")
-    for name, pmap in maps.items():
-        pgm.write_pgm(os.path.join(args.out, f"prob_map_{name}.pgm"), pmap)
-    with open(os.path.join(args.out, "strategy_analysis.json"), "w", encoding="ascii") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
+    with _writing(args.out):
+        for name, pmap in maps.items():
+            pgm.write_pgm(os.path.join(args.out, f"prob_map_{name}.pgm"), pmap)
+        with open(os.path.join(args.out, "strategy_analysis.json"), "w", encoding="ascii") as fh:
+            json.dump(report, fh, indent=1, sort_keys=True)
     print(json.dumps(report["reductions_vs_bcp"], sort_keys=True))
     return 0
 

@@ -27,15 +27,14 @@ passes, with no window copies: flattened to rows, each tap is one
 contiguous slice of it. The padded input exists one chunk of images at a
 time, in a reused buffer; a decoder conv1 reads the half-resolution
 decoder activation and the skip as two parts and upsamples and
-concatenates them only inside that buffer. The tap GEMMs, except the
-weight gradient's, run over cache-sized bands of a chunk's rows, and a
-conv with one input channel (the first) runs as multiply-adds of a weight
-and a shifted image plane instead; neither changes a bit of the results.
-The backward cache of a conv is its bool ReLU mask plus references to its
-input parts, arrays the forward keeps anyway (the image, a ReLU output, a
-pooled input), and the backward pads each chunk again. The weight gradient
-sums over the flat rows chunk by chunk; see the comment on the primitive
-layers.
+concatenates them only inside that buffer. The tap GEMMs run over
+cache-sized bands of a chunk's rows, and a conv with one input channel (the
+first) runs as multiply-adds of a weight and a shifted image plane instead;
+neither changes a bit of the outputs or the input gradients. The backward
+cache of a conv is its bool ReLU mask plus references to its input parts,
+arrays the forward keeps anyway (the image, a ReLU output, a pooled input),
+and the backward pads each chunk again. The weight gradient sums over the
+flat rows band by band; see the comment on the primitive layers.
 """
 
 from __future__ import annotations
@@ -193,18 +192,22 @@ class ForwardOutput(NamedTuple):
 # so a band's product and output stay in cache through its nine taps: runs
 # of image rows inside one image, or the whole chunk when one image fits (as
 # at 64x64). The forward sets an output band to the bias, then adds the nine
-# taps' products in order. The backward reads a chunk's padded input for dW,
-# one GEMM per tap over the whole chunk, then sums the chunk's dx on the same
-# buffer's rows band by band (dx row q takes g[q - s] @ W_t^T for the taps t,
-# at row offsets s, in order, where that row of g exists), folds the borders
-# back and hands each part its share (an upsampled part the sum over each 2x2
-# block). A conv with one input channel would run K = 1 GEMMs; it runs per
-# output channel as nine multiply-adds of a weight times a shifted plane of
-# the padded chunk, the same single products in the same order. So a forward
-# output and a dx element each sum the same products in the same order
-# whatever the chunks and bands, and their bits do not depend on them (with
-# C = 1, BLAS may round dx's matrix-vector products by row position). dW sums
-# each tap's product chunk by chunk.
+# taps' products in order. The backward walks a chunk's bands once for both
+# gradients: a band adds its rows' share of dW, one GEMM per tap on its
+# padded input and output gradient, then sums its dx on the same buffer rows
+# (dx row q takes g[q - s] @ W_t^T for the taps t, at row offsets s, in order,
+# where that row of g exists); a band's dW reads padded rows up to two image
+# rows past its end, which the next bands have not overwritten yet. It then
+# folds the borders back and hands each part its share (an upsampled part the
+# sum over each 2x2 block, written in place). A conv with one input channel
+# would run K = 1 GEMMs; it runs per output channel as nine multiply-adds of
+# a weight times a shifted plane of the padded chunk, the same single
+# products in the same order. So a forward output and a dx element each sum
+# the same products in the same order whatever the chunks and bands, and
+# their bits do not depend on them (with C = 1, BLAS may round dx's
+# matrix-vector products by row position). dW sums each tap's product band by
+# band; when a chunk is one band, as at 64x64, that is one GEMM per tap per
+# chunk.
 
 
 # bytes of padded input, and of one tap's product, per chunk of the 3x3 conv
@@ -314,8 +317,8 @@ def _conv3_backward(parts, w, dout, input_grad: bool = True):
     buf = np.empty((step, hp, wp, c), dtype=dtype)
     g = np.zeros((step * hp * wp, f), dtype=dtype)  # dout on the flat rows
     dwk = np.zeros_like(wk)
+    rows = _band_rows(hp, wp, c, dtype.itemsize)
     if input_grad:
-        rows = _band_rows(hp, wp, c, dtype.itemsize)
         tmp = np.empty(((step if rows == hp else 1) * rows * wp, c), dtype=dtype)
         dxs = [np.empty_like(p) for p in parts]
     for k0 in range(0, n, step):
@@ -323,15 +326,15 @@ def _conv3_backward(parts, w, dout, input_grad: bool = True):
         flat = _pad_chunk(buf, parts, images)
         m = len(flat) - 2 * wp - 2
         g[: len(flat)].reshape(-1, hp, wp, f)[:, :h, :wd] = dout[images]  # wrap-around rows stay 0
-        for t in range(9):
-            s = t // 3 * wp + t % 3
-            dwk[t] += flat[s : s + m].T @ g[:m]
-        if not input_grad:
-            continue
-        # done with the padded input: its buffer sums the chunk's dx, band by band
         for j, i0, nimg, nr in _bands(len(flat) // (hp * wp), hp, rows):
             q0 = (j * hp + i0) * wp
             q1 = q0 + nimg * nr * wp
+            e = min(q1, m)  # rows from m on are padding: their g is 0
+            for t in range(9 if q0 < e else 0):  # dW, before dx overwrites the band's padded input
+                s = t // 3 * wp + t % 3
+                dwk[t] += flat[q0 + s : e + s].T @ g[q0:e]
+            if not input_grad:
+                continue
             flat[q0:q1] = 0.0
             for t in range(9):  # dx row q takes g[q - s] @ W_t^T where that row exists
                 s = t // 3 * wp + t % 3
@@ -339,6 +342,8 @@ def _conv3_backward(parts, w, dout, input_grad: bool = True):
                 if lo < hi:
                     np.matmul(g[lo - s : hi - s], wk[t].T, out=tmp[: hi - lo])
                     flat[lo:hi] += tmp[: hi - lo]
+        if not input_grad:
+            continue
         # fold the edge-replicated borders back (reverse of _pad_chunk)
         dxp = flat.reshape(-1, hp, wp, c)
         dxp[:, :, 1] += dxp[:, :, 0]
@@ -348,7 +353,10 @@ def _conv3_backward(parts, w, dout, input_grad: bool = True):
         c0 = 0
         for dx in dxs:
             inner = dxp[:, 1:-1, 1:-1, c0 : c0 + dx.shape[3]]
-            dx[images] = inner if dx.shape[1] == h else _upsample2_backward(inner)
+            if dx.shape[1] == h:
+                dx[images] = inner
+            else:
+                _upsample2_backward(inner, dx[images])
             c0 += dx.shape[3]
     dw = dwk.reshape(3, 3, c, f).transpose(3, 2, 0, 1)
     db = dout.reshape(-1, f).sum(axis=0)
@@ -411,13 +419,11 @@ def _maxpool2_backward(dout: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return dx
 
 
-def _upsample2_backward(dout: np.ndarray) -> np.ndarray:
-    return (
-        dout[:, 0::2, 0::2, :]
-        + dout[:, 0::2, 1::2, :]
-        + dout[:, 1::2, 0::2, :]
-        + dout[:, 1::2, 1::2, :]
-    )
+def _upsample2_backward(dout: np.ndarray, dx: np.ndarray) -> None:
+    """Write the sum over each 2x2 block of ``dout`` into ``dx``, blocks in row-major order."""
+    np.add(dout[:, 0::2, 0::2, :], dout[:, 0::2, 1::2, :], out=dx)
+    dx += dout[:, 1::2, 0::2, :]
+    dx += dout[:, 1::2, 1::2, :]
 
 
 def _conv_relu(parts, params: SegNetParams, name: str, cache: dict | None):

@@ -406,3 +406,44 @@ def test_fds_demo_takes_its_pair_from_the_images_that_exist(workdir, capsys):
     assert main(["gen-data", "--config", one, "--out", str(workdir / "one"), "--fds-demo"]) == 3
     assert _one_error_line(capsys, "data error: the frequency-switch demo needs at least two images")
     assert not (workdir / "one" / "fds_demo").exists()
+
+
+@pytest.mark.parametrize("name", ["strategy_analysis.json", "prob_map_mss_p2_q2.pgm"])
+def test_unwritable_strategy_output_is_a_config_error(workdir, capsys, name):
+    out = workdir / "strategy"
+    (out / name).mkdir(parents=True)
+    assert main(["analyze-strategy", "--iters", "10", "--size", "16", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config error: cannot write {out / name}: Is a directory"]
+
+
+@pytest.mark.parametrize("name", ["metrics_test.csv", "metrics_test.json"])
+def test_unwritable_eval_report_is_a_config_error(workdir, capsys, name):
+    cfg = str(workdir / "config.json")
+    assert main(["gen-data", "--config", cfg]) == 0
+    ckpt = workdir / "init.bin"
+    net = NetConfig(height=32, width=32, widths=(3, 4), embed_dim=4)
+    network.save_params(ckpt, network.init_params(net, np.random.default_rng(0)))
+    out = workdir / "report"
+    (out / name).mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["eval", "--config", cfg, "--ckpt", str(ckpt), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config error: cannot write {out / name}: Is a directory"]
+
+
+def test_unwritable_checkpoint_and_manifest_are_config_errors(workdir, capsys):
+    cfg = str(workdir / "config.json")
+    (workdir / "data" / "manifest.json").mkdir(parents=True)
+    assert main(["gen-data", "--config", cfg]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"config error: cannot write {workdir / 'data' / 'manifest.json'}: Is a directory"
+    ]
+    (workdir / "data" / "manifest.json").rmdir()
+    assert main(["gen-data", "--config", cfg]) == 0
+    ckpt = workdir / "ckpt" / "pretrain_student.bin"
+    ckpt.mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["pretrain", "--config", cfg, "--out", str(workdir / "ckpt")]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"config error: cannot write {ckpt}: Is a directory"]
+    assert (workdir / "ckpt" / "pretrain_log.jsonl").exists()  # the log was written before the checkpoint

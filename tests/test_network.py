@@ -274,7 +274,7 @@ def test_conv3_backward_matches_direct_sums_across_chunks(monkeypatch, channels,
     assert dw.dtype == db.dtype == dtype and dw.shape == w.shape
     np.testing.assert_allclose(dw, ref_dw, rtol=tol, atol=tol)
     np.testing.assert_allclose(db, ref_db, rtol=tol, atol=tol)
-    # dW sums chunk by chunk; db sums the whole output gradient at once
+    # dW sums chunk by chunk and band by band; db sums the whole output gradient at once
     np.testing.assert_allclose(dw, one_dw, rtol=tol, atol=tol)
     assert db.tobytes() == one_db.tobytes()
     if not input_grad:
@@ -289,6 +289,11 @@ def test_conv3_backward_matches_direct_sums_across_chunks(monkeypatch, channels,
     # gradient only when widths[0] is 1.
     if channels > 1:
         assert np.ascontiguousarray(dx).tobytes() == np.ascontiguousarray(one_dx).tobytes()
+
+
+def _sum_2x2_blocks(d):
+    """The gradient of nearest-neighbor 2x upsampling, blocks summed in row-major order."""
+    return d[:, 0::2, 0::2] + d[:, 0::2, 1::2] + d[:, 1::2, 0::2] + d[:, 1::2, 1::2]
 
 
 @pytest.mark.parametrize("images_per_chunk", [1, 2, 5])
@@ -312,7 +317,7 @@ def test_conv3_of_an_upsampled_part_and_a_skip_equals_the_conv_of_their_concaten
     (dx,), ref_dw, ref_db = network._conv3_backward((x,), w, dout.copy())
     assert dw.tobytes() == ref_dw.tobytes() and db.tobytes() == ref_db.tobytes()
     assert da.shape == a.shape and dskip.shape == skip.shape
-    assert da.tobytes() == network._upsample2_backward(dx[..., :ca]).tobytes()
+    assert da.tobytes() == _sum_2x2_blocks(dx[..., :ca]).tobytes()
     assert dskip.tobytes() == np.ascontiguousarray(dx[..., ca:]).tobytes()
 
 
@@ -393,7 +398,7 @@ def test_conv3_bands_keep_every_bit_and_match_direct_sums(monkeypatch, case, dty
     assert out.tobytes() == one_out.tobytes()
     assert dx.tobytes() == one_dx.tobytes()
     assert db.tobytes() == one_db.tobytes()
-    np.testing.assert_allclose(dw, one_dw, rtol=tol, atol=tol)  # dW sums chunk by chunk
+    np.testing.assert_allclose(dw, one_dw, rtol=tol, atol=tol)  # dW sums band by band
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -417,11 +422,67 @@ def test_conv3_bands_of_an_upsampled_part_and_a_skip_keep_every_bit(monkeypatch,
     ref_dx, ref_dw, _ = conv3_backward_edge_loops(x, w, dout)
     tol = 1e-5 if dtype == np.float32 else 1e-12
     np.testing.assert_allclose(out, conv3_edge_loops(x, w, b), rtol=tol, atol=tol)
-    np.testing.assert_allclose(da, network._upsample2_backward(ref_dx[..., :ca]), rtol=tol, atol=tol)
+    np.testing.assert_allclose(da, _sum_2x2_blocks(ref_dx[..., :ca]), rtol=tol, atol=tol)
     np.testing.assert_allclose(dskip, ref_dx[..., ca:], rtol=tol, atol=tol)
     np.testing.assert_allclose(dw, ref_dw, rtol=tol, atol=tol)
     assert out.tobytes() == one_out.tobytes()
     assert da.tobytes() == one_da.tobytes() and dskip.tobytes() == one_dskip.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("case", BAND_CASES)
+def test_conv3_weight_gradient_without_input_gradient_sums_band_by_band(monkeypatch, case, channels, dtype):
+    rng = np.random.default_rng(23)
+    n, h, wd, f = 5, 5, 7, 3
+    x = rng.normal(size=(n, h, wd, channels)).astype(dtype)
+    w = rng.normal(size=(f, channels, 3, 3))
+    dout = rng.normal(size=(n, h, wd, f)).astype(dtype)
+    _, one_dw, one_db = network._conv3_backward((x,), w, dout, input_grad=False)
+    rows, images = BAND_CASES[case]
+    itemsize = np.dtype(dtype).itemsize
+    hp, wp = h + 2, wd + 2
+    monkeypatch.setattr(network, "_CONV_CHUNK_BYTES", images * hp * wp * f * itemsize)  # f >= channels
+    # the backward bands the padded rows by the input gradient's width, whether or not it runs
+    monkeypatch.setattr(network, "_CONV_BAND_BYTES", (hp if rows is None else rows) * wp * channels * itemsize)
+    none, dw, db = network._conv3_backward((x,), w, dout, input_grad=False)
+    _, ref_dw, _ = conv3_backward_edge_loops(x, w, dout)
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    assert none is None and dw.dtype == dtype and dw.shape == w.shape
+    np.testing.assert_allclose(dw, ref_dw, rtol=tol, atol=tol)
+    np.testing.assert_allclose(dw, one_dw, rtol=tol, atol=tol)
+    assert db.tobytes() == one_db.tobytes()
+
+
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("images_per_chunk", [2, 5])
+def test_conv3_weight_gradient_of_a_chunk_in_one_band_is_one_gemm_per_tap(
+    monkeypatch, images_per_chunk, channels, dtype, input_grad
+):
+    # every desk-scale chunk fits one band, so its dW keeps the bits of one
+    # GEMM per tap over the chunk's flat rows, summed chunk by chunk
+    rng = np.random.default_rng(24)
+    n, h, wd, f = 5, 4, 7, 2
+    x = rng.normal(size=(n, h, wd, channels)).astype(dtype)
+    w = rng.normal(size=(f, channels, 3, 3))
+    dout = rng.normal(size=(n, h, wd, f)).astype(dtype)
+    hp, wp = h + 2, wd + 2
+    monkeypatch.setattr(network, "_CONV_CHUNK_BYTES", images_per_chunk * hp * wp * max(channels, f) * x.itemsize)
+    _, dw, _ = network._conv3_backward((x,), w, dout, input_grad)
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)), mode="edge")
+    gp = np.zeros((n, hp, wp, f), dtype=dtype)
+    gp[:, :h, :wd] = dout
+    dwk = np.zeros((9, channels, f), dtype=dtype)
+    for k0 in range(0, n, images_per_chunk):
+        flat = xp[k0 : k0 + images_per_chunk].reshape(-1, channels)
+        g = gp[k0 : k0 + images_per_chunk].reshape(-1, f)
+        m = len(flat) - 2 * wp - 2
+        for t in range(9):
+            s = t // 3 * wp + t % 3
+            dwk[t] += flat[s : s + m].T @ g[:m]
+    assert dw.tobytes() == dwk.reshape(3, 3, channels, f).transpose(3, 2, 0, 1).tobytes()
 
 
 @pytest.mark.parametrize("images_per_chunk", [1, 2, 4])
@@ -467,12 +528,19 @@ def test_network_outputs_and_gradient_do_not_depend_on_the_band_size(monkeypatch
         grads = SegNetParams(cfg)
         dfeat = project_backward(params, pcache, demb, grads)
         backward(params, cache, dlogits, dfeat, grads)
-        return out.logits, emb, grads.vector
+        return out.logits, emb, grads
 
-    whole = run()  # every image fits one band
+    logits, emb, grads = run()  # every image fits one band
     monkeypatch.setattr(network, "_CONV_BAND_BYTES", 1)  # bands of one image row
-    for a, b in zip(whole, run()):
-        assert a.tobytes() == b.tobytes()
+    band_logits, band_emb, band_grads = run()
+    assert logits.tobytes() == band_logits.tobytes() and emb.tobytes() == band_emb.tobytes()
+    tol = 1e-5 if compute_dtype == "float32" else 1e-12
+    for name, shape in grads.layout:
+        a, b = grads.view(name), band_grads.view(name)
+        if len(shape) == 4:  # a 3x3 conv's dW sums band by band
+            np.testing.assert_allclose(b, a, rtol=tol, atol=tol, err_msg=name)
+        else:  # biases and the 1x1 head and projector output keep every bit
+            assert a.tobytes() == b.tobytes(), name
 
 
 def test_feature_gradient_of_the_leading_images_equals_a_zero_padded_one():
