@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteError
+from .errors import ConfigError
 from .grid import softmax_channels
 
 _DICE_EPS = 1e-5  # smooths the Dice ratio; an empty prediction on an empty label scores 0
@@ -157,10 +157,7 @@ def mixed_region_terms_grad(
 
 def mss_loss(dice_ux: float, ce_ux: float, dice_xu: float, ce_xu: float) -> float:
     """Arithmetic mean of the four region-weighted mixed-loss components."""
-    parts = (dice_ux, ce_ux, dice_xu, ce_xu)
-    if not all(np.isfinite(parts)):
-        raise NonFiniteError(f"non-finite loss components: {parts}")
-    return 0.25 * sum(parts)
+    return 0.25 * sum((dice_ux, ce_ux, dice_xu, ce_xu))
 
 
 def pretrain_loss(logits: np.ndarray, gt: np.ndarray) -> float:
@@ -272,7 +269,4 @@ def consistency_mse_grad(
 
 def total_loss(mss: float, cont: float, consist: float, w: LossWeights) -> float:
     """Weighted combination: mss + lambda_cont * cont + lambda_consist * consist."""
-    parts = (mss, cont, consist)
-    if not all(np.isfinite(parts)):
-        raise NonFiniteError(f"non-finite loss components: {parts}")
     return mss + w.lambda_contrastive * cont + w.lambda_consistency * consist

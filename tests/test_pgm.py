@@ -50,6 +50,14 @@ def test_rejects_wrong_magic_and_truncation(tmp_path):
         pgm.read_pgm(p2)
 
 
+@pytest.mark.parametrize("size", [b"-32 -32", b"0 4", b"4 0"])
+def test_rejects_non_positive_size(tmp_path, size):
+    path = tmp_path / "size.pgm"
+    path.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(1024))
+    with pytest.raises(DataError, match="PGM width and height must be positive"):
+        pgm.read_pgm(path)
+
+
 def test_values_clip_and_scale(tmp_path):
     img = np.array([[-0.5, 0.0], [1.0, 2.0]])
     path = tmp_path / "clip.pgm"
